@@ -13,9 +13,8 @@ from .kernels import (SaddleData, ds_kernel, f_star, phase_factor, rho,
 from .lattice import (LatticeParams, SingularSystemError, TridiagonalOperator,
                       VarianceProfile, neumann_laplacian, tridiagonal_logdet,
                       tridiagonal_solve, variance_profile)
-from .moments import (LogSumExp, MomentEstimate, ScanConfig, ScanRow,
-                      SignedAccumulator, estimate_f2, estimate_ratio,
-                      scaled_energies)
+from .moments import (MomentEstimate, ScanConfig, ScanRow, SignedAccumulator,
+                      estimate_f2, estimate_ratio, scaled_energies)
 from .spectral import (NcmHistogram, SignedLogDet, Spectrum, eigenvalues, ncm,
                        semicircle_distance, signed_logdet)
 from .transfer import (CrossValidation, Grid2D, GridOffsetError,

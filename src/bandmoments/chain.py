@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky_banded, solve_banded
 
-from .ensemble import RngStream
+from .ensemble import as_generator
 from .lattice import TridiagonalOperator, tridiagonal_logdet, tridiagonal_solve
 
 __all__ = [
@@ -128,7 +128,7 @@ def sample_chain(m: int, W: float, gamma_real: float, rng, size: int | None = No
     """
     if not gamma_real > 0:
         raise ValueError(f"gamma must be positive for sampling, got {gamma_real}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = as_generator(rng)
     cb = _chain_cholesky(m, W, gamma_real)
     z = gen.standard_normal((m, 1 if size is None else size))
     x = solve_banded((0, 1), cb, z)
@@ -140,7 +140,7 @@ def tail_probability(m: int, W: float, gamma_real: float, delta: float,
     """Empirical frequency of max_i |x_i| > delta * W over chain draws."""
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = as_generator(rng)
     cb = _chain_cholesky(m, W, gamma_real)
     exceed = 0
     done = 0

@@ -1,8 +1,7 @@
 """Experiment runner: spectrum scans, moment scans, and identity suites.
 
 Configuration is a flat key = value text file; command-line flags override
-file values, and the RMT_THREADS environment variable overrides the worker
-count from either.  Every run writes a manifest.json next to its CSVs.
+file values.  Every run writes a manifest.json next to its CSVs.
 Floats are emitted with 17 significant digits so reruns are byte-comparable.
 """
 
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -31,7 +29,7 @@ from .group_integrals import _sp2_generic, _sp2_series  # crossover check
 from .kernels import semicircle_cdf
 from .lattice import LatticeParams, variance_profile
 from .moments import ScanConfig, estimate_ratio
-from .spectral import Spectrum, ncm, semicircle_distance
+from .spectral import Spectrum, eigenvalues, ncm, semicircle_distance
 from .transfer import cross_validate
 
 __all__ = ["main", "CheckRow"]
@@ -75,25 +73,44 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _parse_int(key: str, raw: str) -> int:
+    """An integer, also in float form such as 1e6; non-integral values fail."""
+    try:
+        return int(raw)
+    except ValueError:
+        pass
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():
+        raise ValueError(f"config key {key!r} needs an integer, got {raw!r}")
+    return int(value)
+
+
 def _merge(defaults: dict, file_cfg: dict[str, str], args: argparse.Namespace) -> dict:
     cfg = dict(defaults)
     for key, raw in file_cfg.items():
         if key not in defaults:
             raise ValueError(f"unknown config key {key!r}")
         kind = type(defaults[key])
-        cfg[key] = kind(raw) if kind is not bool else raw.lower() in ("1", "true", "yes")
+        if kind is bool:
+            cfg[key] = raw.lower() in ("1", "true", "yes")
+        elif kind is int:
+            cfg[key] = _parse_int(key, raw)
+        else:
+            cfg[key] = kind(raw)
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if "workers" in cfg and os.environ.get("RMT_THREADS"):
-        cfg["workers"] = int(os.environ["RMT_THREADS"])
     return cfg
 
 
 def _git_describe() -> str:
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=Path(__file__).resolve().parent,
                              capture_output=True, text=True, timeout=5)
         return out.stdout.strip() or "unknown"
     except OSError:
@@ -159,7 +176,7 @@ def cmd_spectrum(cfg: dict) -> int:
             sample = sample_goe(cfg["size"], rng)
         else:
             sample = sample_band(profile, rng)
-        all_eigs.append(np.linalg.eigvalsh(sample.entries))
+        all_eigs.append(eigenvalues(sample).values)
     spectrum = Spectrum(np.sort(np.concatenate(all_eigs)))
     edges = np.linspace(-2.5, 2.5, cfg["bins"] + 1)
     hist = ncm(spectrum, edges)

@@ -8,7 +8,8 @@ import numpy as np
 
 from .lattice import VarianceProfile
 
-__all__ = ["RngStream", "MatrixSample", "sample_band", "sample_goe"]
+__all__ = ["RngStream", "MatrixSample", "as_generator", "goe_profile",
+           "sample_symmetric", "sample_band", "sample_goe"]
 
 
 @dataclass(frozen=True)
@@ -39,34 +40,42 @@ class MatrixSample:
         return self.entries.shape[0]
 
 
-def _generator(rng) -> np.random.Generator:
+def as_generator(rng) -> np.random.Generator:
+    """The generator of an RngStream; a numpy Generator is returned as is."""
     if isinstance(rng, RngStream):
         return rng.generator()
     return rng
 
 
-def _sample_symmetric(sqrt_off: np.ndarray, sqrt_diag: np.ndarray,
-                      gen: np.random.Generator) -> MatrixSample:
-    # Off-diagonal H_ij ~ N(0, J_ij) for i<j, diagonal H_ii ~ N(0, 2 J_ii).
-    n = len(sqrt_diag)
-    g = gen.standard_normal((n, n))
-    upper = np.triu(g * sqrt_off, k=1)
-    h = upper + upper.T
-    np.fill_diagonal(h, np.diagonal(g) * sqrt_diag)
-    return MatrixSample(h)
+def goe_profile(N: int) -> np.ndarray:
+    """Flat GOE variance profile J_ij = 1/N."""
+    if N < 1:
+        raise ValueError(f"matrix size must be positive, got {N}")
+    return np.full((N, N), 1.0 / N)
+
+
+def sample_symmetric(profile: np.ndarray, count: int, rng) -> np.ndarray:
+    """(count, n, n) draws of H for the (n, n) variance profile J.
+
+    E[H_ij H_kl] = (delta_ik delta_jl + delta_il delta_jk) J_ij: off-diagonal
+    H_ij ~ N(0, J_ij) for i<j, diagonal H_ii ~ N(0, 2 J_ii).  One
+    (count, n, n) normal draw consumes the generator exactly like count draws
+    of (n, n), so the batch size does not change the samples.
+    """
+    n = len(profile)
+    g = as_generator(rng).standard_normal((count, n, n))
+    upper = np.triu(g * np.sqrt(profile), k=1)
+    h = upper + np.swapaxes(upper, 1, 2)
+    idx = np.arange(n)
+    h[:, idx, idx] = g[:, idx, idx] * np.sqrt(2.0 * np.diagonal(profile))
+    return h
 
 
 def sample_band(profile: VarianceProfile, rng) -> MatrixSample:
     """Draw H with E[H_ij H_kl] = (delta_ik delta_jl + delta_il delta_jk) J_ij."""
-    j = profile.entries
-    return _sample_symmetric(np.sqrt(j), np.sqrt(2.0 * np.diagonal(j)),
-                             _generator(rng))
+    return MatrixSample(sample_symmetric(profile.entries, 1, rng)[0])
 
 
 def sample_goe(N: int, rng) -> MatrixSample:
     """GOE reference: flat profile J_ij = 1/N (same sampling rule as the band)."""
-    if N < 1:
-        raise ValueError(f"matrix size must be positive, got {N}")
-    sqrt_off = np.full((N, N), np.sqrt(1.0 / N))
-    sqrt_diag = np.full(N, np.sqrt(2.0 / N))
-    return _sample_symmetric(sqrt_off, sqrt_diag, _generator(rng))
+    return MatrixSample(sample_symmetric(goe_profile(N), 1, rng)[0])

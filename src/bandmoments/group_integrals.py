@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .ensemble import RngStream
+from .ensemble import as_generator
 
 __all__ = [
     "HcizParams",
@@ -124,15 +124,9 @@ def _coset_matrices(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return u
 
 
-def _generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng
-
-
 def sample_coset_u2(rng) -> CosetAnglesU2:
     """Haar draw on the U(2) coset: s uniform on [0,1], alpha uniform."""
-    gen = _generator(rng)
+    gen = as_generator(rng)
     return CosetAnglesU2(gen.uniform(0.0, 1.0), gen.uniform(-np.pi, np.pi))
 
 
@@ -171,7 +165,7 @@ def _assemble_sp2(s_u: np.ndarray, alpha: np.ndarray,
 
 def sample_sp2(rng) -> SpTwoElement:
     """Draw from dnu(P) = 3(1 - 2|V_12|^2)^2 dmu(U) dmu(V)."""
-    gen = _generator(rng)
+    gen = as_generator(rng)
     s_u = gen.uniform(0.0, 1.0)
     alpha = gen.uniform(-np.pi, np.pi)
     s_v = float(_sp2_weight_inverse_cdf(np.asarray(gen.uniform(0.0, 1.0))))
@@ -208,7 +202,7 @@ def u2_quadrature(p: HcizParams, n_s: int = 96, n_alpha: int = 16) -> complex:
 
 def mc_hciz_u2(p: HcizParams, draws: int, rng, chunk: int = 200_000) -> tuple[complex, float]:
     """Monte Carlo over sample_coset_u2 draws; returns (mean, stderr)."""
-    gen = _generator(rng)
+    gen = as_generator(rng)
     c = np.array([p.c1, p.c2])
     d = np.array([p.d1, p.d2])
     total = 0.0 + 0.0j
@@ -228,7 +222,7 @@ def mc_hciz_u2(p: HcizParams, draws: int, rng, chunk: int = 200_000) -> tuple[co
 
 def mc_hciz_sp2(p: HcizParams, draws: int, rng, chunk: int = 100_000) -> tuple[complex, float]:
     """Monte Carlo of int exp(t Tr G P* H P / 2) dnu(P) via sample_sp2 draws."""
-    gen = _generator(rng)
+    gen = as_generator(rng)
     g = np.array([p.d1, p.d2, p.d1, p.d2])
     h = np.array([p.c1, p.c2, p.c1, p.c2])
     total = 0.0 + 0.0j
@@ -283,7 +277,7 @@ def reduction_check(t: float, d1: float, d2: float, phi, box: float = 7.0,
     if outside >= 1e-10:
         raise ValueError(f"truncation box {box} leaves Gaussian mass {outside:.2e} outside")
 
-    gen = _generator(rng) if rng is not None else np.random.default_rng(0)
+    gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
     sd_xy = 1.0 / math.sqrt(t)
     sd_w = 1.0 / math.sqrt(2.0 * t)
     total = 0.0

@@ -1,9 +1,10 @@
 """Monte Carlo estimation of second characteristic-polynomial moments.
 
 Per-sample contributions det(l1 - H) det(l2 - H) span thousands of orders of
-magnitude, so everything is accumulated as signed log-sum-exp pools: separate
-positive and negative pools with a running-max shift, plus a pool of squares
-for the standard error.  The normalized ratio D2^{-1} F2 is computed from
+magnitude, so everything is accumulated in signed log-sum-exp pools: each
+keeps a positive sum and a negative sum with a running-max shift, plus a sum
+of squares for the standard error, and one array holds every pool of a scan.
+The normalized ratio D2^{-1} F2 is computed from
 common random numbers (one spectrum per sample serves every scan point) and
 its uncertainty comes from the delta method on the three correlated means;
 the delta variance is evaluated in the raw-moment form
@@ -18,16 +19,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import RngStream
+from .ensemble import RngStream, goe_profile, sample_symmetric
 from .kernels import ds_kernel, rho
 from .lattice import LatticeParams, variance_profile
+from .spectral import signed_logdets
 
 __all__ = [
-    "LogSumExp",
     "SignedAccumulator",
     "MomentEstimate",
     "ScanConfig",
@@ -37,8 +38,9 @@ __all__ = [
     "estimate_ratio",
 ]
 
-# Batched eigensolves pay off only for small matrices.
-_BATCH_EIG_MAX_N = 32
+# Matrix entries sampled and eigensolved per batch (one N=256 matrix); larger
+# batches only raise peak memory.
+_CHUNK_ENTRIES = 2**16
 
 # |mean| below 10x its standard error counts as an unresolved sign.
 _SIGN_RESOLUTION_FACTOR = 10.0
@@ -52,72 +54,73 @@ def scaled_energies(lambda0: float, xi1: float, xi2: float, N: int) -> tuple[flo
     return lambda0 + xi1 * scale, lambda0 + xi2 * scale
 
 
-@dataclass
-class LogSumExp:
-    """Streaming log-sum-exp of positive terms given by their logs."""
-
-    shift: float = -math.inf
-    total: float = 0.0
-    count: int = 0
-
-    def add_many(self, logs: np.ndarray) -> None:
-        logs = np.asarray(logs, dtype=float)
-        self.count += logs.size
-        finite = logs[logs > -math.inf]
-        if finite.size == 0:
-            return
-        m = float(np.max(finite))
-        if m > self.shift:
-            self.total = self.total * math.exp(self.shift - m) if self.total else 0.0
-            self.shift = m
-        self.total += float(np.sum(np.exp(finite - self.shift)))
-
-    def merge(self, other: "LogSumExp") -> "LogSumExp":
-        m = max(self.shift, other.shift)
-        if m == -math.inf:
-            return LogSumExp(count=self.count + other.count)
-        total = 0.0
-        if self.total:
-            total += self.total * math.exp(self.shift - m)
-        if other.total:
-            total += other.total * math.exp(other.shift - m)
-        return LogSumExp(m, total, self.count + other.count)
-
-    @property
-    def log_sum(self) -> float:
-        if self.total <= 0.0:
-            return -math.inf
-        return self.shift + math.log(self.total)
+def _base(shift: np.ndarray) -> np.ndarray:
+    """shift with 0 for the -inf of an empty sum, so exp(-inf - base) is 0, not NaN."""
+    return np.where(shift > -math.inf, shift, 0.0)
 
 
-@dataclass
+def _combine(shift_a, total_a, shift_b, total_b) -> tuple[np.ndarray, np.ndarray]:
+    """(shift, total) of the sum of two log-space sums shift + log(total)."""
+    shift = np.maximum(shift_a, shift_b)
+    base = _base(shift)
+    return shift, total_a * np.exp(shift_a - base) + total_b * np.exp(shift_b - base)
+
+
 class SignedAccumulator:
-    """Signed streaming sum: positive pool, negative pool, pool of squares."""
+    """Signed streaming sums of sign * exp(log) terms over an array of pools.
 
-    pos: LogSumExp = field(default_factory=LogSumExp)
-    neg: LogSumExp = field(default_factory=LogSumExp)
-    sumsq: LogSumExp = field(default_factory=LogSumExp)
-    count: int = 0
+    Each pool of the `shape`-shaped array keeps a positive sum, a negative sum
+    and a sum of squares, each as shift + log(total) with a running-max shift.
+    Indexing with a full index gives one pool, which has the scalar methods.
+    """
 
-    def add_many(self, signs: np.ndarray, logs: np.ndarray) -> None:
+    def __init__(self, shape: tuple[int, ...] = ()):
+        # first axis: positive sum, negative sum, sum of squares
+        self.shift = np.full((3, *shape), -math.inf)
+        self.total = np.zeros((3, *shape))
+        self.count = 0
+
+    def add_many(self, signs, logs) -> None:
+        """Add the terms signs * exp(logs), both of shape (count, *shape).
+
+        A zero sign or a -inf log is a zero term: counted, but adding nothing.
+        """
         signs = np.asarray(signs)
         logs = np.asarray(logs, dtype=float)
-        self.count += logs.size
-        self.pos.add_many(logs[signs > 0])
-        self.neg.add_many(logs[signs < 0])
-        self.sumsq.add_many(2.0 * logs[signs != 0])
+        if signs.shape != logs.shape or logs.shape[1:] != self.shift.shape[1:]:
+            raise ValueError(f"expected signs and logs of shape (count, "
+                             f"*{self.shift.shape[1:]}), got {signs.shape}, {logs.shape}")
+        if not np.max(logs, initial=-math.inf) < math.inf:  # NaN fails too
+            raise ValueError("log terms must be finite or -inf")
+        terms = np.array([np.where(signs > 0, logs, -math.inf),
+                          np.where(signs < 0, logs, -math.inf),
+                          np.where(signs != 0, 2.0 * logs, -math.inf)])
+        shift = np.max(terms, axis=1, initial=-math.inf)
+        total = np.sum(np.exp(terms - _base(shift)[:, None]), axis=1)
+        self.shift, self.total = _combine(self.shift, self.total, shift, total)
+        self.count += len(logs)
 
     def merge(self, other: "SignedAccumulator") -> "SignedAccumulator":
-        return SignedAccumulator(
-            pos=self.pos.merge(other.pos),
-            neg=self.neg.merge(other.neg),
-            sumsq=self.sumsq.merge(other.sumsq),
-            count=self.count + other.count,
-        )
+        merged = SignedAccumulator()
+        merged.shift, merged.total = _combine(self.shift, self.total,
+                                              other.shift, other.total)
+        merged.count = self.count + other.count
+        return merged
+
+    def __getitem__(self, index) -> "SignedAccumulator":
+        index = (slice(None), *(index if isinstance(index, tuple) else (index,)))
+        part = SignedAccumulator()
+        part.shift, part.total, part.count = self.shift[index], self.total[index], self.count
+        return part
+
+    def log_sums(self) -> tuple[float, float, float]:
+        """Logs of the positive sum, the negative sum and the sum of squares (-inf if empty)."""
+        return tuple(s + math.log(t) if t > 0.0 else -math.inf
+                     for s, t in zip(self.shift.tolist(), self.total.tolist()))
 
     def signed_log_sum(self) -> tuple[int, float]:
         """(sign, log|sum|) of the accumulated signed total."""
-        lp, ln = self.pos.log_sum, self.neg.log_sum
+        lp, ln, _ = self.log_sums()
         if lp == ln:
             return 0, -math.inf
         if lp > ln:
@@ -127,9 +130,10 @@ class SignedAccumulator:
     def estimate(self) -> "MomentEstimate":
         if self.count == 0:
             raise ValueError("cannot form an estimate from an empty accumulator")
+        lp, ln, log_sumsq = self.log_sums()
         sign, log_abs = self.signed_log_sum()
         log_mean = log_abs - math.log(self.count)
-        log_ex2 = self.sumsq.log_sum - math.log(self.count)
+        log_ex2 = log_sumsq - math.log(self.count)
         if sign == 0 or log_ex2 == -math.inf:
             return MomentEstimate(sign, log_mean, math.inf if sign == 0 else 0.0,
                                   self.count, sign != 0)
@@ -141,7 +145,7 @@ class SignedAccumulator:
         else:
             log_var = log_ex2 + math.log1p(-ratio) + math.log(self.count / (self.count - 1))
             rel_stderr = math.exp(0.5 * (log_var - math.log(self.count)) - log_mean)
-        one_sided = self.pos.count == 0 or self.neg.count == 0
+        one_sided = lp == -math.inf or ln == -math.inf
         resolved = one_sided or rel_stderr <= 1.0 / _SIGN_RESOLUTION_FACTOR
         return MomentEstimate(sign, log_mean, rel_stderr, self.count, resolved)
 
@@ -184,6 +188,10 @@ class ScanConfig:
             raise ValueError(f"lambda0 must lie in (-2, 2), got {self.lambda0}")
         if self.num_samples < 1:
             raise ValueError("sample count must be at least 1")
+        if self.num_streams < 1:
+            raise ValueError(f"stream count must be at least 1, got {self.num_streams}")
+        if self.goe_size is not None and self.goe_size < 1:
+            raise ValueError(f"GOE size must be at least 1, got {self.goe_size}")
         if (self.lattice is None) == (self.goe_size is None):
             raise ValueError("set exactly one of lattice and goe_size")
         object.__setattr__(self, "xi_pairs", tuple((float(a), float(b)) for a, b in self.xi_pairs))
@@ -205,107 +213,37 @@ class ScanRow:
     flag: str
 
 
-@dataclass
-class _ScanPools:
-    pair: list[SignedAccumulator]
-    cross_ab: list[SignedAccumulator]
-    cross_ac: list[SignedAccumulator]
-    cross_bc: list[SignedAccumulator]
-    diag: dict[int, SignedAccumulator]
-
-    def merge(self, other: "_ScanPools") -> "_ScanPools":
-        return _ScanPools(
-            pair=[a.merge(b) for a, b in zip(self.pair, other.pair)],
-            cross_ab=[a.merge(b) for a, b in zip(self.cross_ab, other.cross_ab)],
-            cross_ac=[a.merge(b) for a, b in zip(self.cross_ac, other.cross_ac)],
-            cross_bc=[a.merge(b) for a, b in zip(self.cross_bc, other.cross_bc)],
-            diag={k: v.merge(other.diag[k]) for k, v in self.diag.items()},
-        )
-
-
 @dataclass(frozen=True)
 class _WorkerSpec:
-    kind: str                     # "band" | "goe"
-    n: int
-    W: float
-    lambdas: tuple[float, ...]
-    pairs: tuple[tuple[int, int], ...]
+    profile: np.ndarray           # variance profile J of the ensemble
+    lambdas: np.ndarray
+    pairs: np.ndarray             # (rows, 2) indices into lambdas
     master_seed: int
 
 
-def _sample_sqrt_profiles(spec: _WorkerSpec) -> tuple[np.ndarray, np.ndarray]:
-    if spec.kind == "band":
-        j = variance_profile(LatticeParams(spec.n, spec.W)).entries
-    else:
-        j = np.full((spec.n, spec.n), 1.0 / spec.n)
-    return np.sqrt(j), np.sqrt(2.0 * np.diagonal(j))
-
-
-def _batched_logdets(eigs: np.ndarray, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample signed log det(lam - H) for a (batch, N) eigenvalue block."""
-    diffs = lambdas[None, :, None] - eigs[:, None, :]
-    zero = np.any(diffs == 0.0, axis=2)
-    with np.errstate(divide="ignore"):
-        logd = np.sum(np.log(np.abs(diffs)), axis=2)
-    signs = np.where(np.sum(diffs < 0.0, axis=2) % 2 == 1, -1, 1).astype(np.int8)
-    signs[zero] = 0
-    logd[zero] = -np.inf
-    return logd, signs
-
-
-def _scan_stream(args: tuple[_WorkerSpec, int, int]) -> _ScanPools:
+def _scan_stream(args: tuple[_WorkerSpec, int, int]) -> SignedAccumulator:
+    """One substream's pools, shape (6, rows): per scan row with energies
+    (l1, l2), A = det1 det2, B = det1^2, C = det2^2 and the products AB, AC, BC.
+    """
     spec, stream_index, count = args
     gen = RngStream(spec.master_seed, stream_index).generator()
-    sqrt_off, sqrt_diag = _sample_sqrt_profiles(spec)
-    n = len(sqrt_diag)
-    lambdas = np.asarray(spec.lambdas)
-
-    if n <= _BATCH_EIG_MAX_N:
-        g = gen.standard_normal((count, n, n))
-        mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-        h = np.where(mask, g * sqrt_off, 0.0)
-        h = h + np.swapaxes(h, 1, 2)
-        idx = np.arange(n)
-        h[:, idx, idx] = g[:, idx, idx] * sqrt_diag
-        eigs = np.linalg.eigvalsh(h)
-        logd, signs = _batched_logdets(eigs, lambdas)
-    else:
-        logd = np.empty((count, len(lambdas)))
-        signs = np.empty((count, len(lambdas)), dtype=np.int8)
-        for k in range(count):
-            g = gen.standard_normal((n, n))
-            upper = np.triu(g * sqrt_off, k=1)
-            h = upper + upper.T
-            np.fill_diagonal(h, np.diagonal(g) * sqrt_diag)
-            eigs = np.linalg.eigvalsh(h)
-            ld, sg = _batched_logdets(eigs[None, :], lambdas)
-            logd[k], signs[k] = ld[0], sg[0]
-
-    pools = _empty_pools(spec)
-    for r, (i1, i2) in enumerate(spec.pairs):
-        la = logd[:, i1] + logd[:, i2]
-        sa = signs[:, i1] * signs[:, i2]
-        lb, sb = 2.0 * logd[:, i1], (signs[:, i1] != 0).astype(np.int8)
-        lc, sc = 2.0 * logd[:, i2], (signs[:, i2] != 0).astype(np.int8)
-        pools.pair[r].add_many(sa, la)
-        pools.cross_ab[r].add_many(sa * sb, la + lb)
-        pools.cross_ac[r].add_many(sa * sc, la + lc)
-        pools.cross_bc[r].add_many(sb * sc, lb + lc)
-    for i in pools.diag:
-        pools.diag[i].add_many((signs[:, i] != 0).astype(np.int8), 2.0 * logd[:, i])
+    n = len(spec.profile)
+    step = max(_CHUNK_ENTRIES // (n * n), 1)
+    logd, signs = [], []
+    for done in range(0, count, step):
+        h = sample_symmetric(spec.profile, min(step, count - done), gen)
+        ld, sg = signed_logdets(np.linalg.eigvalsh(h), spec.lambdas)
+        logd.append(ld)
+        signs.append(sg)
+    logd, signs = np.concatenate(logd), np.concatenate(signs)
+    i1, i2 = spec.pairs[:, 0], spec.pairs[:, 1]
+    la, lb, lc = logd[:, i1] + logd[:, i2], 2.0 * logd[:, i1], 2.0 * logd[:, i2]
+    sa = signs[:, i1] * signs[:, i2]
+    sb, sc = (signs[:, i1] != 0).astype(np.int8), (signs[:, i2] != 0).astype(np.int8)
+    pools = SignedAccumulator((6, len(i1)))
+    pools.add_many(np.stack([sa, sb, sc, sa * sb, sa * sc, sb * sc], axis=1),
+                   np.stack([la, lb, lc, la + lb, la + lc, lb + lc], axis=1))
     return pools
-
-
-def _empty_pools(spec: _WorkerSpec) -> _ScanPools:
-    nrows = len(spec.pairs)
-    diag_indices = sorted({i for p in spec.pairs for i in p})
-    return _ScanPools(
-        pair=[SignedAccumulator() for _ in range(nrows)],
-        cross_ab=[SignedAccumulator() for _ in range(nrows)],
-        cross_ac=[SignedAccumulator() for _ in range(nrows)],
-        cross_bc=[SignedAccumulator() for _ in range(nrows)],
-        diag={i: SignedAccumulator() for i in diag_indices},
-    )
 
 
 def _stream_counts(total: int, streams: int) -> list[int]:
@@ -314,13 +252,13 @@ def _stream_counts(total: int, streams: int) -> list[int]:
 
 
 def _run_scan(config: ScanConfig, lambdas: tuple[float, ...],
-              pairs: tuple[tuple[int, int], ...]) -> _ScanPools:
+              pairs: tuple[tuple[int, int], ...]) -> SignedAccumulator:
     if config.lattice is not None:
-        spec = _WorkerSpec("band", config.lattice.n, config.lattice.W,
-                           lambdas, pairs, config.master_seed)
+        profile = variance_profile(config.lattice).entries
     else:
-        spec = _WorkerSpec("goe", config.goe_size, 1.0, lambdas, pairs,
-                           config.master_seed)
+        profile = goe_profile(config.goe_size)
+    spec = _WorkerSpec(profile, np.asarray(lambdas),
+                       np.asarray(pairs, dtype=int).reshape(-1, 2), config.master_seed)
     counts = _stream_counts(config.num_samples, config.num_streams)
     tasks = [(spec, i, c) for i, c in enumerate(counts) if c > 0]
     if config.workers <= 1 or len(tasks) == 1:
@@ -342,8 +280,7 @@ def estimate_f2(config: ScanConfig, lambda1: float, lambda2: float) -> MomentEst
         lambdas, pairs = (lambda1,), ((0, 0),)
     else:
         lambdas, pairs = (lambda1, lambda2), ((0, 1),)
-    pools = _run_scan(config, lambdas, pairs)
-    return pools.pair[0].estimate()
+    return _run_scan(config, lambdas, pairs)[0, 0].estimate()
 
 
 def _signed_sum(terms: list[tuple[float, float]]) -> float:
@@ -375,9 +312,7 @@ def estimate_ratio(config: ScanConfig) -> list[ScanRow]:
 
     rows = []
     for r, (xi1, xi2) in enumerate(config.xi_pairs):
-        i1, i2 = pairs[r]
-        acc_a = pools.pair[r]
-        acc_b, acc_c = pools.diag[i1], pools.diag[i2]
+        acc_a, acc_b, acc_c, acc_ab, acc_ac, acc_bc = (pools[k, r] for k in range(6))
         sa, la = acc_a.signed_log_sum()
         sb, lb = acc_b.signed_log_sum()
         sc, lc = acc_c.signed_log_sum()
@@ -386,13 +321,13 @@ def estimate_ratio(config: ScanConfig) -> list[ScanRow]:
             rows.append(ScanRow(xi1, xi2, math.nan, math.nan, ds_ref, "sign_unresolved"))
             continue
         ratio = sa * math.exp(la - 0.5 * (lb + lc))
-        sab, lab = pools.cross_ab[r].signed_log_sum()
-        sac, lac = pools.cross_ac[r].signed_log_sum()
-        sbc, lbc = pools.cross_bc[r].signed_log_sum()
+        sab, lab = acc_ab.signed_log_sum()
+        sac, lac = acc_ac.signed_log_sum()
+        sbc, lbc = acc_bc.signed_log_sum()
         terms = [
-            (1.0, acc_a.sumsq.log_sum - 2.0 * la),
-            (0.25, acc_b.sumsq.log_sum - 2.0 * lb),
-            (0.25, acc_c.sumsq.log_sum - 2.0 * lc),
+            (1.0, acc_a.log_sums()[2] - 2.0 * la),
+            (0.25, acc_b.log_sums()[2] - 2.0 * lb),
+            (0.25, acc_c.log_sums()[2] - 2.0 * lc),
             (-1.0 * sab * sa * sb, lab - la - lb),
             (-1.0 * sac * sa * sc, lac - la - lc),
             (0.5 * sbc * sb * sc, lbc - lb - lc),

@@ -15,6 +15,7 @@ __all__ = [
     "NcmHistogram",
     "eigenvalues",
     "signed_logdet",
+    "signed_logdets",
     "ncm",
     "semicircle_distance",
 ]
@@ -61,17 +62,25 @@ def eigenvalues(sample: MatrixSample) -> Spectrum:
     return Spectrum(vals)
 
 
-def signed_logdet(spectrum: Spectrum, lam: float) -> SignedLogDet:
-    """Signed log of det(lam - H) from the spectrum of H.
+def signed_logdets(eigs: np.ndarray, lambdas) -> tuple[np.ndarray, np.ndarray]:
+    """Signed logs of det(lam - H) for a (batch, N) block of spectra and each lam.
 
-    sign is (-1)^(number of eigenvalues above lam); an exact hit on an
-    eigenvalue yields sign 0 and log_magnitude -inf.
+    Returns (batch, len(lambdas)) log-magnitudes and int8 signs.  The sign is
+    (-1)^(number of eigenvalues above lam); an exact hit on an eigenvalue
+    yields sign 0 and log-magnitude -inf.
     """
-    diffs = lam - spectrum.values
-    if np.any(diffs == 0.0):
-        return SignedLogDet(0, -np.inf)
-    sign = -1 if int(np.sum(diffs < 0)) % 2 else 1
-    return SignedLogDet(sign, float(np.sum(np.log(np.abs(diffs)))))
+    diffs = np.asarray(lambdas, dtype=float)[None, :, None] - eigs[:, None, :]
+    with np.errstate(divide="ignore"):
+        logd = np.sum(np.log(np.abs(diffs)), axis=2)
+    signs = (1 - 2 * (np.sum(diffs < 0.0, axis=2) % 2)).astype(np.int8)
+    signs[logd == -np.inf] = 0  # only an exact hit gives log 0 = -inf
+    return logd, signs
+
+
+def signed_logdet(spectrum: Spectrum, lam: float) -> SignedLogDet:
+    """Signed log of det(lam - H) from the spectrum of H (see signed_logdets)."""
+    logd, signs = signed_logdets(spectrum.values[None, :], [lam])
+    return SignedLogDet(int(signs[0, 0]), float(logd[0, 0]))
 
 
 def ncm(spectrum: Spectrum, edges) -> NcmHistogram:

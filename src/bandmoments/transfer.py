@@ -85,10 +85,8 @@ class TransferKernel:
     site: np.ndarray          # w(a,b) * quadrature weights, complex (Ga, Gb)
     inv_d2: np.ndarray
     inv_d3: np.ndarray
-    gaa: np.ndarray
-    gbb: np.ndarray
+    gaa: np.ndarray           # also the b-b coupling: the b-grid is the shifted a-grid
     gab: np.ndarray
-    gba: np.ndarray
     log_prefactor_magnitude: float
     prefactor_sign: int
 
@@ -158,7 +156,6 @@ def build_kernel(params: LatticeParams, lambda0: float, xi: float,
     w2 = params.W**2
     a, b = grid.nodes_a, grid.nodes_b
     gaa = np.exp(-0.5 * w2 * (a[:, None] - a[None, :]) ** 2)
-    gbb = np.exp(-0.5 * w2 * (b[:, None] - b[None, :]) ** 2)
     gab = np.exp(-0.5 * w2 * (a[:, None] - b[None, :]) ** 2)
     d = a[:, None] - b[None, :]
     lap = neumann_laplacian(params.N)
@@ -171,7 +168,7 @@ def build_kernel(params: LatticeParams, lambda0: float, xi: float,
         params=params, lambda0=lambda0, xi=xi, refine=refine, grid=grid,
         site=_site_weights(grid, params, lambda0, xi),
         inv_d2=d**-2.0, inv_d3=d**-3.0,
-        gaa=gaa, gbb=gbb, gab=gab, gba=gab.T.copy(),
+        gaa=gaa, gab=gab,
         log_prefactor_magnitude=log_pref, prefactor_sign=-1)
 
 
@@ -180,10 +177,10 @@ def _apply_bond(kernel: TransferKernel, v: np.ndarray) -> np.ndarray:
     w6 = kernel.params.W**6
     m2 = v * kernel.inv_d2
     m3 = v * kernel.inv_d3
-    direct2 = kernel.gaa @ m2 @ kernel.gbb
-    direct3 = kernel.gaa @ m3 @ kernel.gbb
-    swap2 = kernel.gba.T @ (m2.T @ kernel.gab)
-    swap3 = kernel.gba.T @ (m3.T @ kernel.gab)
+    direct2 = kernel.gaa @ m2 @ kernel.gaa
+    direct3 = kernel.gaa @ m3 @ kernel.gaa
+    swap2 = kernel.gab @ (m2.T @ kernel.gab)
+    swap3 = kernel.gab @ (m3.T @ kernel.gab)
     return ((6.0 / w4) * kernel.inv_d2 * (direct2 + swap2)
             - (12.0 / w6) * kernel.inv_d3 * (direct3 - swap3))
 

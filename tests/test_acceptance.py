@@ -4,8 +4,8 @@ Every test prints one `A<k> PASS/FAIL` line with the measured numbers before
 asserting, so a full run always reports the whole table.  A6-A8 exercise the
 Monte Carlo ratio scan at its specified sample budget; det-product
 contributions are heavy-tailed there, and the criteria are asserted exactly
-as stated (see notes/decisions.md at the repository root for the measured
-statistics behind any red result).
+as stated (see the "Known-red criteria" section of README.md for the
+measured statistics behind any red result).
 """
 
 import math

@@ -1,10 +1,13 @@
 """CLI: config handling, CSV schemas, determinism, negative controls."""
 
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
+from bandmoments import cli
 from bandmoments.cli import CheckRow, load_config_file, main
 
 
@@ -34,6 +37,18 @@ class TestConfigFile:
         m2 = json.loads(_read(out2 / "manifest.json"))
         assert m1["config"]["size"] == 16
         assert m2["config"]["size"] == 24
+
+    def test_float_formatted_integers(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("size = 1.6e1\nsamples = 4.0\nbins = 20\n")
+        out = tmp_path / "o"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads(_read(out / "manifest.json"))
+        assert manifest["config"]["size"] == 16
+        assert manifest["config"]["samples"] == 4
+        cfg.write_text("size = 1.5\n")
+        with pytest.raises(ValueError, match="'size'"):
+            main(["spectrum", "--config", str(cfg), "--out", str(out)])
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -80,11 +95,10 @@ class TestScanCommand:
         main(self.ARGS + ["--seed", "3", "--out", str(out2)])
         assert _read(out1 / "scan_f2.csv") == _read(out2 / "scan_f2.csv")
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+    def test_worker_count_does_not_change_bytes(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         main(self.ARGS + ["--seed", "3", "--out", str(out1)])
-        monkeypatch.setenv("RMT_THREADS", "2")
-        main(self.ARGS + ["--seed", "3", "--out", str(out2)])
+        main(self.ARGS + ["--seed", "3", "--workers", "2", "--out", str(out2)])
         assert _read(out1 / "scan_f2.csv") == _read(out2 / "scan_f2.csv")
 
 
@@ -133,6 +147,17 @@ class TestVerifyCommands:
                     "verify_reduction/verify.csv", "transfer_check/verify.csv",
                     "manifest.json"):
             assert (out / rel).exists()
+
+
+class TestManifest:
+    def test_git_describe_ignores_caller_cwd(self, tmp_path, monkeypatch):
+        package_dir = Path(cli.__file__).resolve().parent
+        if shutil.which("git") is None or subprocess.run(
+                ["git", "rev-parse", "--git-dir"], cwd=package_dir,
+                capture_output=True).returncode != 0:
+            pytest.skip("package is not in a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert cli._git_describe() != "unknown"
 
 
 class TestCheckRow:

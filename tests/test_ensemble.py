@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bandmoments.ensemble import RngStream, sample_band, sample_goe
+from bandmoments.ensemble import (RngStream, sample_band, sample_goe,
+                                  sample_symmetric)
 from bandmoments.lattice import LatticeParams, variance_profile
 
 
@@ -47,6 +48,14 @@ class TestSampleBand:
         np.testing.assert_array_equal(a, b)
         c = sample_band(prof, RngStream(42, 8)).entries
         assert np.any(a != c)
+
+    def test_batch_matches_single_draws(self):
+        # the scan samples in batches; the batch size must not change the draws
+        prof = variance_profile(LatticeParams(3, 2.0))
+        batch = sample_symmetric(prof.entries, 4, RngStream(9).generator())
+        gen = RngStream(9).generator()
+        singles = np.stack([sample_band(prof, gen).entries for _ in range(4)])
+        np.testing.assert_array_equal(batch, singles)
 
 
 class TestSampleGoe:

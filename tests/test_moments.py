@@ -7,7 +7,7 @@ import pytest
 
 from bandmoments.kernels import ds_kernel, rho
 from bandmoments.lattice import LatticeParams
-from bandmoments.moments import (LogSumExp, MomentEstimate, ScanConfig,
+from bandmoments.moments import (MomentEstimate, ScanConfig,
                                  SignedAccumulator, estimate_f2,
                                  estimate_ratio, scaled_energies)
 
@@ -93,7 +93,25 @@ class TestSignedAccumulator:
         assert not acc.estimate().sign_resolved
 
     def test_logsumexp_empty(self):
-        assert LogSumExp().log_sum == -math.inf
+        assert SignedAccumulator().log_sums() == (-math.inf,) * 3
+        assert SignedAccumulator((2, 3))[1, 2].log_sums() == (-math.inf,) * 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nan_and_positive_infinity(self, bad):
+        acc = SignedAccumulator()
+        with pytest.raises(ValueError):
+            acc.add_many(np.array([1, 1, 1]), np.array([0.0, bad, 0.0]))
+
+    def test_array_pools_match_scalar_pools(self):
+        signs, logs = _random_contributions(600)
+        signs, logs = signs.reshape(200, 3), logs.reshape(200, 3)
+        pools = SignedAccumulator((3,))
+        pools.add_many(signs, logs)
+        for k in range(3):
+            single = SignedAccumulator()
+            single.add_many(signs[:, k], logs[:, k])
+            assert pools[k].log_sums() == single.log_sums()
+            assert pools[k].count == single.count
 
 
 def _hermgauss_expect(fn, sigmas, nodes=24):
@@ -132,10 +150,13 @@ class TestEstimateF2:
         est = estimate_f2(config, 0.4, 0.4)
         assert est.sign == 1
         assert est.sign_resolved
-        # every per-sample contribution is a square: the negative pool is empty
+        # every per-sample contribution is a square: the negative sum is
+        # empty and the positive sum equals that of the squares pool B
         pools = _run_scan(config, (0.4,), ((0, 0),))
-        assert pools.pair[0].neg.count == 0
-        assert pools.pair[0].pos.count == 500
+        pos, neg, _ = pools[0, 0].log_sums()
+        assert neg == -math.inf
+        assert pos == pools[1, 0].log_sums()[0]
+        assert pools[0, 0].count == 500
 
     def test_goe_two_by_two_against_quadrature(self):
         lam = 3.0
@@ -238,3 +259,9 @@ class TestEstimateRatio:
         with pytest.raises(ValueError):
             ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=0,
                        master_seed=0, goe_size=4)
+        with pytest.raises(ValueError):
+            ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=10,
+                       master_seed=0, goe_size=4, num_streams=0)
+        with pytest.raises(ValueError):
+            ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=10,
+                       master_seed=0, goe_size=0)

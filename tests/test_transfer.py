@@ -31,8 +31,10 @@ class TestKernelStructure:
     def test_gaussian_couplings_symmetric(self):
         k = build_kernel(LatticeParams(1, 2.0), 0.3, 0.1)
         np.testing.assert_array_equal(k.gaa, k.gaa.T)
-        np.testing.assert_array_equal(k.gbb, k.gbb.T)
-        np.testing.assert_array_equal(k.gba, k.gab.T)
+        # the b-grid is the shifted a-grid, so its coupling is gaa itself
+        b = k.grid.nodes_b
+        gbb = np.exp(-0.5 * k.params.W**2 * (b[:, None] - b[None, :]) ** 2)
+        np.testing.assert_allclose(gbb, k.gaa, rtol=0.0, atol=1e-14)
 
     def test_nodes_stay_apart(self):
         k = build_kernel(LatticeParams(1, 1.0), 0.0, 0.0)
