@@ -19,7 +19,8 @@ import numpy as np
 from scipy.linalg import cholesky_banded, solve_banded
 
 from .ensemble import as_generator
-from .lattice import TridiagonalOperator, tridiagonal_logdet, tridiagonal_solve
+from .lattice import (TridiagonalOperator, neumann_laplacian, tridiagonal_logdet,
+                      tridiagonal_solve)
 
 __all__ = [
     "ChainParams",
@@ -62,12 +63,8 @@ class ChainParams:
 
 def chain_operator(m: int) -> TridiagonalOperator:
     """Negated Neumann Laplacian -Delta on m sites (the chain precision core)."""
-    diag = np.full(m, 2.0)
-    diag[0] = 1.0
-    diag[-1] = 1.0
-    if m == 1:
-        diag[0] = 0.0
-    return TridiagonalOperator(diag, np.full(m - 1, -1.0))
+    lap = neumann_laplacian(m)
+    return TridiagonalOperator(-lap.diagonal, -lap.offdiagonal)
 
 
 def chain_logdet(p: ChainParams) -> complex:
@@ -140,6 +137,8 @@ def tail_probability(m: int, W: float, gamma_real: float, delta: float,
     """Empirical frequency of max_i |x_i| > delta * W over chain draws."""
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     gen = as_generator(rng)
     cb = _chain_cholesky(m, W, gamma_real)
     exceed = 0

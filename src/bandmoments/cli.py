@@ -1,7 +1,10 @@
 """Experiment runner: spectrum scans, moment scans, and identity suites.
 
-Configuration is a flat key = value text file; command-line flags override
-file values.  Every run writes a manifest.json next to its CSVs.
+Each command declares its config keys and defaults once, in _COMMANDS; the
+parser derives one flag per key (half_width -> --half-width), so flags and
+file keys are the same set.  Configuration is a flat key = value text file;
+command-line flags override file values.  Every run writes a manifest.json
+next to its CSVs.
 Floats are emitted with 17 significant digits so reruns are byte-comparable.
 """
 
@@ -25,7 +28,6 @@ from .ensemble import RngStream, sample_band, sample_goe
 from .group_integrals import (TAYLOR_CUTOFF, HcizParams, hciz_sp2, hciz_u2,
                               mc_hciz_sp2, mc_hciz_u2, reduction_check,
                               u2_quadrature)
-from .group_integrals import _sp2_generic, _sp2_series  # crossover check
 from .kernels import semicircle_cdf
 from .lattice import LatticeParams, variance_profile
 from .moments import ScanConfig, estimate_ratio
@@ -37,6 +39,7 @@ __all__ = ["main", "CheckRow"]
 _SPECTRUM_SCHEMA = ("bin_left", "bin_right", "mass", "semicircle_mass")
 _SCAN_SCHEMA = ("xi1", "xi2", "ratio", "stderr", "ds_ref", "flag")
 _VERIFY_SCHEMA = ("check_id", "measured", "reference", "tolerance", "pass")
+_ENSEMBLES = ("goe", "band")
 
 
 def _fmt(x) -> str:
@@ -68,8 +71,10 @@ def load_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is repeated")
+        out[key] = value
     return out
 
 
@@ -88,22 +93,29 @@ def _parse_int(key: str, raw: str) -> int:
     return int(value)
 
 
+def _coerce(key: str, default, raw: str):
+    """A file or flag value converted to the type of the key's default."""
+    if isinstance(default, int):
+        return _parse_int(key, raw)
+    try:
+        value = type(default)(raw)
+    except ValueError:
+        raise ValueError(f"config key {key!r} needs a {type(default).__name__}, "
+                         f"got {raw!r}") from None
+    if key == "ensemble" and value not in _ENSEMBLES:
+        raise ValueError(f"config key 'ensemble' must be one of {_ENSEMBLES}, got {raw!r}")
+    return value
+
+
 def _merge(defaults: dict, file_cfg: dict[str, str], args: argparse.Namespace) -> dict:
     cfg = dict(defaults)
-    for key, raw in file_cfg.items():
-        if key not in defaults:
-            raise ValueError(f"unknown config key {key!r}")
-        kind = type(defaults[key])
-        if kind is bool:
-            cfg[key] = raw.lower() in ("1", "true", "yes")
-        elif kind is int:
-            cfg[key] = _parse_int(key, raw)
-        else:
-            cfg[key] = kind(raw)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    flags = {key: getattr(args, key) for key in defaults
+             if getattr(args, key) is not None}
+    for source in (file_cfg, flags):
+        for key, raw in source.items():
+            if key not in defaults:
+                raise ValueError(f"unknown config key {key!r}")
+            cfg[key] = _coerce(key, defaults[key], raw)
     return cfg
 
 
@@ -165,6 +177,9 @@ _SPECTRUM_DEFAULTS = dict(ensemble="goe", size=256, half_width=0, bandwidth=8.0,
 
 
 def cmd_spectrum(cfg: dict) -> int:
+    for key in ("samples", "bins"):
+        if cfg[key] < 1:
+            raise ValueError(f"config key {key!r} must be at least 1, got {cfg[key]}")
     outdir = _outdir(cfg)
     profile = None
     if cfg["ensemble"] != "goe":
@@ -236,21 +251,19 @@ def _hciz_parameter_sets(seed: int, count: int) -> list[HcizParams]:
     return sets
 
 
-def hciz_suite(seed: int = 0, sets: int = 20, draws: int = 1_000_000,
-               corrupt: bool = False) -> list[CheckRow]:
+def hciz_suite(seed: int, sets: int, draws: int) -> list[CheckRow]:
     """Closed forms vs quadrature and vs Monte Carlo over both cosets."""
     rows = []
     params = _hciz_parameter_sets(seed, sets)
-    bias = 1.001 if corrupt else 1.0
     for k, p in enumerate(params):
-        exact = hciz_u2(p) * bias
+        exact = hciz_u2(p)
         rel = abs(u2_quadrature(p) - exact) / abs(exact)
         rows.append(CheckRow(f"hciz_u2_quad_{k:02d}", rel, 0.0, 1e-8))
     if draws > 0:
         # the 0.3% stderr budget is stated at 1e6 draws; scale for smaller runs
         stderr_tol = 3e-3 * math.sqrt(max(1_000_000 / draws, 1.0))
         for k, p in enumerate(params):
-            exact = hciz_sp2(p) * bias
+            exact = hciz_sp2(p)
             mean, se = mc_hciz_sp2(p, draws, RngStream(seed, 100 + k))
             rows.append(CheckRow(f"hciz_sp2_mc_{k:02d}", abs(mean - exact) / se,
                                  0.0, 3.0))
@@ -259,13 +272,15 @@ def hciz_suite(seed: int = 0, sets: int = 20, draws: int = 1_000_000,
         for k, p in enumerate(params):
             mean, se = mc_hciz_u2(p, draws, RngStream(seed, 200 + k))
             rows.append(CheckRow(f"hciz_u2_mc_{k:02d}",
-                                 abs(mean - hciz_u2(p) * bias) / se, 0.0, 3.0))
-    # Taylor/generic crossover continuity at the implemented seam
+                                 abs(mean - hciz_u2(p)) / se, 0.0, 3.0))
+    # Taylor/generic continuity: hciz_sp2 just below and just above the seam,
+    # with E1 = e1 and tt = E1 - E2 fixed by t = d1 = 1, d2 = 0
     e1 = 0.3 + 0.1j
     for k, phase in enumerate(np.exp(1j * np.linspace(0.0, 2.0, 4))):
-        tt = TAYLOR_CUTOFF * phase
-        gap = abs(_sp2_generic(e1, e1 - tt, tt) - np.exp(e1) * _sp2_series(tt))
-        rows.append(CheckRow(f"sp2_taylor_crossover_{k}", gap / abs(np.exp(e1)), 0.0, 1e-9))
+        series, generic = (hciz_sp2(HcizParams(1.0, e1, e1 - tt, 1.0, 0.0))
+                           for tt in TAYLOR_CUTOFF * phase * np.array([1 - 1e-12, 1 + 1e-12]))
+        rows.append(CheckRow(f"sp2_taylor_crossover_{k}",
+                             abs(generic - series) / abs(np.exp(e1)), 0.0, 1e-9))
     # degenerate d1 -> d2 limit of the U(2) form
     base = HcizParams(1.1, 0.9, -0.4, 0.7, 0.7)
     limit = np.exp(base.t * (base.c1 + base.c2) * base.d1)
@@ -276,8 +291,7 @@ def hciz_suite(seed: int = 0, sets: int = 20, draws: int = 1_000_000,
     return rows
 
 
-def chain_suite(seed: int = 0, tail_draws: int = 40_000,
-                corrupt: bool = False) -> list[CheckRow]:
+def chain_suite(seed: int, tail_draws: int) -> list[CheckRow]:
     """Determinant oracle, sinh asymptotics, and tail-decay regression."""
     rows = []
     rng = np.random.default_rng(seed)
@@ -289,8 +303,6 @@ def chain_suite(seed: int = 0, tail_draws: int = 40_000,
             eigs = np.linalg.eigvalsh(chain_operator(m).dense())
             oracle = complex(np.sum(np.log(eigs.astype(complex) + p.shift)))
             worst = max(worst, abs(chain_logdet(p) - oracle) / abs(oracle))
-    if corrupt:
-        worst += 1e-6
     rows.append(CheckRow("chain_logdet_dense_oracle", worst, 0.0, 1e-10))
 
     def rel_asym(m: int, w: float) -> float:
@@ -329,16 +341,15 @@ _REDUCTION_PHIS = (
 )
 
 
-def reduction_suite(seed: int = 0, draws: int = 10_000_000,
-                    corrupt: bool = False) -> list[CheckRow]:
+def reduction_suite(seed: int, draws: int) -> list[CheckRow]:
     """6-dim MC vs 2-dim reduced quadrature for polynomial observables."""
     rows = []
     for si, (t, d1, d2) in enumerate(_REDUCTION_SETTINGS):
         for name, phi in _REDUCTION_PHIS:
             rep = reduction_check(t, d1, d2, phi, draws=draws,
                                   rng=RngStream(seed, si))
-            rel = rep.relative_difference + (0.02 if corrupt else 0.0)
-            rows.append(CheckRow(f"reduction_t{si}_{name}", rel, 0.0, 0.01))
+            rows.append(CheckRow(f"reduction_t{si}_{name}", rep.relative_difference,
+                                 0.0, 0.01))
             rows.append(CheckRow(f"reduction_t{si}_{name}_stderr_ok",
                                  float(rep.stderr_ok), 1.0, 0.5))
     return rows
@@ -347,8 +358,7 @@ def reduction_suite(seed: int = 0, draws: int = 10_000_000,
 _TRANSFER_POINTS = ((0, 1.0), (1, 1.0), (4, 2.0))
 
 
-def transfer_suite(seed: int = 0, samples: int = 400_000, workers: int = 1,
-                   corrupt: bool = False) -> list[CheckRow]:
+def transfer_suite(seed: int, samples: int, workers: int) -> list[CheckRow]:
     """Transfer evaluation vs Monte Carlo at small (N, W), both lambda0."""
     rows = []
     for n, w in _TRANSFER_POINTS:
@@ -356,8 +366,8 @@ def transfer_suite(seed: int = 0, samples: int = 400_000, workers: int = 1,
             cv = cross_validate(LatticeParams(n, w), lambda0, 0.0,
                                 mc_samples=samples, master_seed=seed,
                                 workers=workers)
-            z = cv.z_score + (10.0 if corrupt else 0.0)
-            rows.append(CheckRow(f"transfer_mc_n{n}_w{w:g}_l{lambda0:g}", z, 0.0, 3.0))
+            rows.append(CheckRow(f"transfer_mc_n{n}_w{w:g}_l{lambda0:g}", cv.z_score,
+                                 0.0, 3.0))
             rows.append(CheckRow(f"transfer_imag_n{n}_w{w:g}_l{lambda0:g}",
                                  cv.transfer.imag_ratio, 0.0, 1e-6))
             if n == 0:
@@ -368,62 +378,52 @@ def transfer_suite(seed: int = 0, samples: int = 400_000, workers: int = 1,
     return rows
 
 
-_VERIFY_DEFAULTS = dict(seed=0, draws=1_000_000, sets=20, samples=400_000,
-                        tail_draws=40_000, workers=1, corrupt=False, out="out")
-
-
-def cmd_verify_hciz(cfg: dict) -> int:
-    rows = hciz_suite(cfg["seed"], cfg["sets"], cfg["draws"], cfg["corrupt"])
-    return _write_verify(_outdir(cfg), "verify-hciz", cfg, rows)
-
-
-def cmd_verify_chain(cfg: dict) -> int:
-    rows = chain_suite(cfg["seed"], cfg["tail_draws"], cfg["corrupt"])
-    return _write_verify(_outdir(cfg), "verify-chain", cfg, rows)
-
-
-def cmd_verify_reduction(cfg: dict) -> int:
-    rows = reduction_suite(cfg["seed"], cfg["draws"], cfg["corrupt"])
-    return _write_verify(_outdir(cfg), "verify-reduction", cfg, rows)
-
-
-def cmd_transfer_check(cfg: dict) -> int:
-    rows = transfer_suite(cfg["seed"], cfg["samples"], cfg["workers"], cfg["corrupt"])
-    return _write_verify(_outdir(cfg), "transfer-check", cfg, rows)
+def _run_suite(command: str, cfg: dict) -> int:
+    """Call the command's suite with its config keys, except out, as arguments."""
+    suite = _SUITES[command][0]
+    rows = suite(**{key: value for key, value in cfg.items() if key != "out"})
+    return _write_verify(_outdir(cfg), command, cfg, rows)
 
 
 def cmd_report(cfg: dict) -> int:
     """Run every suite plus a small spectrum and scan into one directory."""
     out = Path(cfg["out"])
-    status = 0
-    spec_cfg = dict(_SPECTRUM_DEFAULTS, seed=cfg["seed"], out=str(out / "spectrum"))
-    status |= cmd_spectrum(spec_cfg)
-    scan_cfg = dict(_SCAN_DEFAULTS, ensemble="goe", size=64, samples=2000,
-                    workers=cfg["workers"], seed=cfg["seed"], out=str(out / "scan_f2"))
-    status |= cmd_scan_f2(scan_cfg)
-    for name, fn in (("verify_hciz", cmd_verify_hciz),
-                     ("verify_chain", cmd_verify_chain),
-                     ("verify_reduction", cmd_verify_reduction),
-                     ("transfer_check", cmd_transfer_check)):
-        sub = dict(_VERIFY_DEFAULTS)
-        sub.update(seed=cfg["seed"], workers=cfg["workers"],
-                   draws=cfg["draws"], samples=cfg["samples"],
-                   tail_draws=cfg["tail_draws"], sets=cfg["sets"],
-                   out=str(out / name))
-        status |= fn(sub)
+    status = cmd_spectrum(dict(_SPECTRUM_DEFAULTS, seed=cfg["seed"], out=str(out / "spectrum")))
+    status |= cmd_scan_f2(dict(_SCAN_DEFAULTS, size=64, samples=2000, workers=cfg["workers"],
+                               seed=cfg["seed"], out=str(out / "scan_f2")))
+    for command, (_, _, defaults) in _SUITES.items():
+        sub = {key: cfg[key] for key in defaults}
+        sub["out"] = str(out / command.replace("-", "_"))
+        status |= _run_suite(command, sub)
     _write_manifest(_outdir(cfg), "report", cfg, {"status": status})
     return status
 
 
 # ----------------------------------------------------------------------
-# argument parsing
+# commands and argument parsing
 # ----------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--workers", type=int, help="worker process count")
+# name -> (function, help, defaults); the defaults declare each command's
+# config keys, their types and the flags the parser offers.
+_SUITES = {
+    "verify-hciz": (hciz_suite, "group integral identities",
+                    dict(seed=0, sets=20, draws=1_000_000, out="out")),
+    "verify-chain": (chain_suite, "chain determinant and tails",
+                     dict(seed=0, tail_draws=40_000, out="out")),
+    "verify-reduction": (reduction_suite, "6-dim vs 2-dim reduction",
+                         dict(seed=0, draws=1_000_000, out="out")),
+    "transfer-check": (transfer_suite, "transfer vs Monte Carlo",
+                       dict(seed=0, samples=400_000, workers=1, out="out")),
+}
+
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "aggregate NCM histogram vs semicircle", _SPECTRUM_DEFAULTS),
+    "scan-f2": (cmd_scan_f2, "scan the normalized second moment vs DS", _SCAN_DEFAULTS),
+    **_SUITES,
+    "report": (cmd_report, "run every suite",
+               {key: value for _, _, defaults in _SUITES.values()
+                for key, value in defaults.items()}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -431,59 +431,21 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bandmoments",
         description="band-matrix characteristic-polynomial moment experiments")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("spectrum", help="aggregate NCM histogram vs semicircle")
-    _add_common(p)
-    p.add_argument("--ensemble", choices=("goe", "band"))
-    p.add_argument("--size", type=int, help="matrix size (GOE)")
-    p.add_argument("--half-width", dest="half_width", type=int)
-    p.add_argument("--bandwidth", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--bins", type=int)
-
-    p = subs.add_parser("scan-f2", help="scan the normalized second moment vs DS")
-    _add_common(p)
-    p.add_argument("--ensemble", choices=("goe", "band"))
-    p.add_argument("--size", type=int)
-    p.add_argument("--half-width", dest="half_width", type=int)
-    p.add_argument("--bandwidth", type=float)
-    p.add_argument("--lambda0", type=float)
-    p.add_argument("--xi-diffs", dest="xi_diffs")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--streams", type=int)
-
-    for name, help_text in (("verify-hciz", "group integral identities"),
-                            ("verify-chain", "chain determinant and tails"),
-                            ("verify-reduction", "6-dim vs 2-dim reduction"),
-                            ("transfer-check", "transfer vs Monte Carlo"),
-                            ("report", "run every suite")):
-        p = subs.add_parser(name, help=help_text)
-        _add_common(p)
-        p.add_argument("--draws", type=int)
-        p.add_argument("--sets", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--tail-draws", dest="tail_draws", type=int)
-        p.add_argument("--corrupt", action="store_const", const=True,
-                       help=argparse.SUPPRESS)
+    for command, (_, help_text, defaults) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="key = value config file")
+        for key, default in defaults.items():
+            sub.add_argument("--" + key.replace("_", "-"), help=f"default: {default}")
     return parser
-
-
-_COMMANDS = {
-    "spectrum": (cmd_spectrum, _SPECTRUM_DEFAULTS),
-    "scan-f2": (cmd_scan_f2, _SCAN_DEFAULTS),
-    "verify-hciz": (cmd_verify_hciz, _VERIFY_DEFAULTS),
-    "verify-chain": (cmd_verify_chain, _VERIFY_DEFAULTS),
-    "verify-reduction": (cmd_verify_reduction, _VERIFY_DEFAULTS),
-    "transfer-check": (cmd_transfer_check, _VERIFY_DEFAULTS),
-    "report": (cmd_report, _VERIFY_DEFAULTS),
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    fn, defaults = _COMMANDS[args.command]
+    fn, _, defaults = _COMMANDS[args.command]
     file_cfg = load_config_file(args.config) if args.config else {}
     cfg = _merge(defaults, file_cfg, args)
+    if args.command in _SUITES:
+        return _run_suite(args.command, cfg)
     return fn(cfg)
 
 

@@ -202,6 +202,8 @@ def u2_quadrature(p: HcizParams, n_s: int = 96, n_alpha: int = 16) -> complex:
 
 def mc_hciz_u2(p: HcizParams, draws: int, rng, chunk: int = 200_000) -> tuple[complex, float]:
     """Monte Carlo over sample_coset_u2 draws; returns (mean, stderr)."""
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     gen = as_generator(rng)
     c = np.array([p.c1, p.c2])
     d = np.array([p.d1, p.d2])
@@ -222,6 +224,8 @@ def mc_hciz_u2(p: HcizParams, draws: int, rng, chunk: int = 200_000) -> tuple[co
 
 def mc_hciz_sp2(p: HcizParams, draws: int, rng, chunk: int = 100_000) -> tuple[complex, float]:
     """Monte Carlo of int exp(t Tr G P* H P / 2) dnu(P) via sample_sp2 draws."""
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     gen = as_generator(rng)
     g = np.array([p.d1, p.d2, p.d1, p.d2])
     h = np.array([p.c1, p.c2, p.c1, p.c2])
@@ -273,6 +277,8 @@ def reduction_check(t: float, d1: float, d2: float, phi, box: float = 7.0,
         raise ValueError(f"t must be positive, got {t}")
     if d1 == d2:
         raise ValueError("the reduction formula requires d1 != d2")
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     outside = 6.0 * erfc(box / math.sqrt(2.0))
     if outside >= 1e-10:
         raise ValueError(f"truncation box {box} leaves Gaussian mass {outside:.2e} outside")

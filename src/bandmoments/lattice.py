@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 __all__ = [
     "LatticeParams",
@@ -114,7 +115,7 @@ def variance_profile(params: LatticeParams) -> VarianceProfile:
 
 
 def tridiagonal_solve(op: TridiagonalOperator, shift: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve (op + shift*I) x = rhs by the Thomas algorithm.
+    """Solve (op + shift*I) x = rhs with LAPACK's tridiagonal solver.
 
     Parameters
     ----------
@@ -122,32 +123,24 @@ def tridiagonal_solve(op: TridiagonalOperator, shift: complex, rhs: np.ndarray) 
     shift : scalar added to the diagonal (may be complex)
     rhs : vector of length m, or (m, k) matrix of stacked right-hand sides
 
-    Raises SingularSystemError when an elimination pivot falls below the
-    defensive floor.
+    Raises SingularSystemError when the system is singular.
     """
     rhs = np.asarray(rhs)
     m = op.m
     if rhs.shape[0] != m:
         raise ValueError(f"rhs has leading dimension {rhs.shape[0]}, expected {m}")
-    dtype = np.result_type(op.diagonal, op.offdiagonal, type(shift), rhs)
-    b = op.diagonal.astype(dtype) + shift
-    e = op.offdiagonal.astype(dtype)
-    x = rhs.astype(dtype).copy()
-    cp = np.empty(m - 1 if m > 1 else 0, dtype=dtype)
-
-    pivot = b[0]
-    if abs(pivot) < PIVOT_FLOOR:
-        raise SingularSystemError("zero pivot at row 0")
-    x[0] = x[0] / pivot
-    for i in range(1, m):
-        cp[i - 1] = e[i - 1] / pivot
-        pivot = b[i] - e[i - 1] * cp[i - 1]
-        if abs(pivot) < PIVOT_FLOOR:
-            raise SingularSystemError(f"zero pivot at row {i}")
-        x[i] = (x[i] - e[i - 1] * x[i - 1]) / pivot
-    for i in range(m - 2, -1, -1):
-        x[i] = x[i] - cp[i] * x[i + 1]
-    return x
+    dtype = np.result_type(op.diagonal, op.offdiagonal, type(shift), rhs, float)
+    ab = np.zeros((3, m), dtype=dtype)
+    ab[0, 1:] = op.offdiagonal
+    ab[1] = op.diagonal + shift
+    ab[2, :-1] = op.offdiagonal
+    try:
+        # errstate turns the division scipy uses for m = 1 into an error too
+        with np.errstate(divide="raise", invalid="raise"):
+            return solve_banded((1, 1), ab, rhs.astype(dtype), overwrite_ab=True,
+                                overwrite_b=True)
+    except (np.linalg.LinAlgError, FloatingPointError):
+        raise SingularSystemError(f"singular {m}x{m} tridiagonal system") from None
 
 
 def tridiagonal_logdet(op: TridiagonalOperator, shift: complex = 0.0,

@@ -9,6 +9,7 @@ import pytest
 
 from bandmoments import cli
 from bandmoments.cli import CheckRow, load_config_file, main
+from bandmoments.group_integrals import hciz_u2
 
 
 def _read(path: Path) -> str:
@@ -25,6 +26,12 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("not a key value line\n")
         with pytest.raises(ValueError):
+            load_config_file(str(cfg))
+
+    def test_repeated_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("size = 16\n# comment\nsize = 32\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:3: .*'size'"):
             load_config_file(str(cfg))
 
     def test_flags_override_file(self, tmp_path):
@@ -56,6 +63,30 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
+    def test_unknown_ensemble_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ensemble = gue\n")
+        for command in ("spectrum", "scan-f2"):
+            with pytest.raises(ValueError, match="'ensemble'"):
+                main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("argv", [["verify-chain", "--draws", "5"],
+                                      ["spectrum", "--workers", "2"]])
+    def test_flag_of_another_command_rejected(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+    def test_flags_are_config_keys(self):
+        parser = cli._build_parser()
+        subs = next(a for a in parser._actions if a.dest == "command").choices
+        total = 0
+        for command, sub in subs.items():
+            flags = {a.dest for a in sub._actions if a.dest != "help"}
+            assert flags == {"config"} | set(cli._COMMANDS[command][2])
+            total += len(flags)
+        assert total == 47
+
 
 class TestSpectrumCommand:
     def test_writes_schema_and_manifest(self, tmp_path):
@@ -68,6 +99,11 @@ class TestSpectrumCommand:
         assert len(lines) == 26
         manifest = json.loads(_read(out / "manifest.json"))
         assert "ks_distance" in manifest["summary"]
+
+    @pytest.mark.parametrize("key", ["samples", "bins"])
+    def test_rejects_empty_run(self, key, tmp_path):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            main(["spectrum", "--size", "8", f"--{key}", "0", "--out", str(tmp_path / "o")])
 
     def test_band_ensemble_runs(self, tmp_path):
         out = tmp_path / "b"
@@ -113,9 +149,10 @@ class TestVerifyCommands:
         assert lines[0] == "check_id,measured,reference,tolerance,pass"
         assert all(line.endswith(",1") for line in lines[1:])
 
-    def test_corrupted_constant_detected(self, tmp_path):
+    def test_corrupted_constant_detected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "hciz_u2", lambda p: 1.001 * hciz_u2(p))
         out = tmp_path / "vc"
-        code = main(["verify-hciz"] + self.FAST + ["--corrupt", "--out", str(out)])
+        code = main(["verify-hciz"] + self.FAST + ["--out", str(out)])
         assert code == 1
         lines = _read(out / "verify.csv").splitlines()
         assert any(line.endswith(",0") for line in lines[1:])

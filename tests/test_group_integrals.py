@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bandmoments.chain import tail_probability
 from bandmoments.ensemble import RngStream
 from bandmoments.group_integrals import (HcizParams, _sp2_generic, _sp2_series,
                                          _sp2_weight_inverse_cdf, hciz_sp2,
@@ -181,3 +182,15 @@ class TestReductionCheck:
     def test_rejects_leaky_box(self):
         with pytest.raises(ValueError):
             reduction_check(1.0, 1.0, -1.0, lambda y1, y2: y1, box=3.0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda draws: mc_hciz_u2(ANCHOR, draws, RngStream(0)),
+    lambda draws: mc_hciz_sp2(ANCHOR, draws, RngStream(0)),
+    lambda draws: reduction_check(1.0, 1.0, -1.0, lambda y1, y2: y1, draws=draws),
+    lambda draws: tail_probability(8, 2.0, 1.0, 0.5, draws, RngStream(0)),
+], ids=["mc_hciz_u2", "mc_hciz_sp2", "reduction_check", "tail_probability"])
+@pytest.mark.parametrize("draws", [0, -3])
+def test_monte_carlo_rejects_empty_draw_budget(run, draws):
+    with pytest.raises(ValueError, match="draws"):
+        run(draws)

@@ -118,9 +118,10 @@ class TestTridiagonalSolve:
         np.testing.assert_allclose(op.dense() @ x, np.eye(2), atol=1e-14)
 
     def test_singular_system_signaled(self):
-        op = TridiagonalOperator(np.zeros(3), np.zeros(2))
-        with pytest.raises(SingularSystemError):
-            tridiagonal_solve(op, 0.0, np.ones(3))
+        for m in (1, 3):
+            op = TridiagonalOperator(np.zeros(m), np.zeros(m - 1))
+            with pytest.raises(SingularSystemError):
+                tridiagonal_solve(op, 0.0, np.ones(m))
 
 
 class TestTridiagonalLogdet:
