@@ -3,20 +3,19 @@
 from .chain import (ChainParams, chain_asymptotic, chain_log_asymptotic,
                     chain_log_partition, chain_logdet, chain_partition,
                     green_diag, sample_chain, tail_probability)
-from .ensemble import MatrixSample, RngStream, sample_band, sample_goe
-from .group_integrals import (CosetAnglesU2, HcizParams, ReductionReport,
-                              SpTwoElement, hciz_sp2, hciz_u2, mc_hciz_sp2,
-                              mc_hciz_u2, reduction_check, sample_coset_u2,
-                              sample_sp2, u2_quadrature)
+from .ensemble import RngStream, sample_band, sample_goe
+from .group_integrals import (HcizParams, ReductionReport, hciz_sp2, hciz_u2,
+                              mc_hciz_sp2, mc_hciz_u2, reduction_check,
+                              sample_coset_u2, sample_sp2, u2_quadrature)
 from .kernels import (SaddleData, ds_kernel, f_star, phase_factor, rho,
                       saddle_data, saddle_f, semicircle_cdf)
 from .lattice import (LatticeParams, SingularSystemError, TridiagonalOperator,
-                      VarianceProfile, neumann_laplacian, tridiagonal_logdet,
-                      tridiagonal_solve, variance_profile)
+                      neumann_laplacian, tridiagonal_logdet, tridiagonal_solve,
+                      variance_profile)
 from .moments import (MomentEstimate, ScanConfig, ScanRow, SignedAccumulator,
                       estimate_f2, estimate_ratio, scaled_energies)
-from .spectral import (NcmHistogram, SignedLogDet, Spectrum, eigenvalues, ncm,
-                       semicircle_distance, signed_logdet)
+from .spectral import (NcmHistogram, eigenvalues, ncm, semicircle_distance,
+                       signed_logdet)
 from .transfer import (CrossValidation, Grid2D, GridOffsetError,
                        TransferKernel, TransferResult, build_kernel,
                        cross_validate, transfer_evaluate)

@@ -24,14 +24,14 @@ import numpy as np
 from . import __version__
 from .chain import (ChainParams, chain_log_asymptotic, chain_log_partition,
                     chain_logdet, chain_operator, tail_probability)
-from .ensemble import RngStream, sample_band, sample_goe
+from .ensemble import RngStream, goe_profile, sample_band
 from .group_integrals import (TAYLOR_CUTOFF, HcizParams, hciz_sp2, hciz_u2,
                               mc_hciz_sp2, mc_hciz_u2, reduction_check,
                               u2_quadrature)
 from .kernels import semicircle_cdf
 from .lattice import LatticeParams, variance_profile
 from .moments import ScanConfig, estimate_ratio
-from .spectral import Spectrum, eigenvalues, ncm, semicircle_distance
+from .spectral import eigenvalues, ncm, semicircle_distance
 from .transfer import cross_validate
 
 __all__ = ["main", "CheckRow"]
@@ -40,6 +40,8 @@ _SPECTRUM_SCHEMA = ("bin_left", "bin_right", "mass", "semicircle_mass")
 _SCAN_SCHEMA = ("xi1", "xi2", "ratio", "stderr", "ds_ref", "flag")
 _VERIFY_SCHEMA = ("check_id", "measured", "reference", "tolerance", "pass")
 _ENSEMBLES = ("goe", "band")
+# config keys that count something: every run needs at least one
+_COUNT_KEYS = ("size", "samples", "bins", "streams", "workers", "sets", "draws", "tail_draws")
 
 
 def _fmt(x) -> str:
@@ -93,10 +95,21 @@ def _parse_int(key: str, raw: str) -> int:
     return int(value)
 
 
+def _xi_diffs(raw: str) -> list[float]:
+    try:
+        return [float(x) for x in raw.split(",")]
+    except ValueError:
+        raise ValueError(f"config key 'xi_diffs' needs comma-separated floats, "
+                         f"got {raw!r}") from None
+
+
 def _coerce(key: str, default, raw: str):
     """A file or flag value converted to the type of the key's default."""
     if isinstance(default, int):
-        return _parse_int(key, raw)
+        value = _parse_int(key, raw)
+        if key in _COUNT_KEYS and value < 1:
+            raise ValueError(f"config key {key!r} must be at least 1, got {value}")
+        return value
     try:
         value = type(default)(raw)
     except ValueError:
@@ -104,6 +117,8 @@ def _coerce(key: str, default, raw: str):
                          f"got {raw!r}") from None
     if key == "ensemble" and value not in _ENSEMBLES:
         raise ValueError(f"config key 'ensemble' must be one of {_ENSEMBLES}, got {raw!r}")
+    if key == "xi_diffs":
+        _xi_diffs(value)
     return value
 
 
@@ -177,24 +192,15 @@ _SPECTRUM_DEFAULTS = dict(ensemble="goe", size=256, half_width=0, bandwidth=8.0,
 
 
 def cmd_spectrum(cfg: dict) -> int:
-    for key in ("samples", "bins"):
-        if cfg[key] < 1:
-            raise ValueError(f"config key {key!r} must be at least 1, got {cfg[key]}")
     outdir = _outdir(cfg)
-    profile = None
-    if cfg["ensemble"] != "goe":
+    if cfg["ensemble"] == "goe":
+        profile = goe_profile(cfg["size"])
+    else:
         profile = variance_profile(LatticeParams(cfg["half_width"], cfg["bandwidth"]))
-    all_eigs = []
-    for k in range(cfg["samples"]):
-        rng = RngStream(cfg["seed"], k)
-        if profile is None:
-            sample = sample_goe(cfg["size"], rng)
-        else:
-            sample = sample_band(profile, rng)
-        all_eigs.append(eigenvalues(sample).values)
-    spectrum = Spectrum(np.sort(np.concatenate(all_eigs)))
+    eigs = np.concatenate([eigenvalues(sample_band(profile, RngStream(cfg["seed"], k)))
+                           for k in range(cfg["samples"])])
     edges = np.linspace(-2.5, 2.5, cfg["bins"] + 1)
-    hist = ncm(spectrum, edges)
+    hist = ncm(eigs, edges)
     ks = semicircle_distance(hist)
     sc_mass = np.diff(semicircle_cdf(edges))
     _write_csv(outdir / "spectrum.csv", _SPECTRUM_SCHEMA,
@@ -215,8 +221,7 @@ _SCAN_DEFAULTS = dict(ensemble="goe", size=256, half_width=127, bandwidth=64.0,
 
 
 def _scan_config(cfg: dict) -> ScanConfig:
-    pairs = tuple((d / 2.0, -d / 2.0)
-                  for d in (float(x) for x in str(cfg["xi_diffs"]).split(",")))
+    pairs = tuple((d / 2.0, -d / 2.0) for d in _xi_diffs(cfg["xi_diffs"]))
     common = dict(lambda0=cfg["lambda0"], xi_pairs=pairs,
                   num_samples=cfg["samples"], master_seed=cfg["seed"],
                   num_streams=cfg["streams"], workers=cfg["workers"])

@@ -6,9 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import VarianceProfile
-
-__all__ = ["RngStream", "MatrixSample", "as_generator", "goe_profile",
+__all__ = ["RngStream", "as_generator", "goe_profile",
            "sample_symmetric", "sample_band", "sample_goe"]
 
 
@@ -27,17 +25,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
         return np.random.default_rng(seq)
-
-
-@dataclass(frozen=True)
-class MatrixSample:
-    """One draw of the ensemble; entries is exactly symmetric by construction."""
-
-    entries: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return self.entries.shape[0]
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -71,11 +58,11 @@ def sample_symmetric(profile: np.ndarray, count: int, rng) -> np.ndarray:
     return h
 
 
-def sample_band(profile: VarianceProfile, rng) -> MatrixSample:
-    """Draw H with E[H_ij H_kl] = (delta_ik delta_jl + delta_il delta_jk) J_ij."""
-    return MatrixSample(sample_symmetric(profile.entries, 1, rng)[0])
+def sample_band(profile: np.ndarray, rng) -> np.ndarray:
+    """One (N, N) draw of H for the variance profile J (see sample_symmetric)."""
+    return sample_symmetric(profile, 1, rng)[0]
 
 
-def sample_goe(N: int, rng) -> MatrixSample:
+def sample_goe(N: int, rng) -> np.ndarray:
     """GOE reference: flat profile J_ij = 1/N (same sampling rule as the band)."""
-    return MatrixSample(sample_symmetric(goe_profile(N), 1, rng)[0])
+    return sample_symmetric(goe_profile(N), 1, rng)[0]

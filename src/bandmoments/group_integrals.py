@@ -24,8 +24,6 @@ from .ensemble import as_generator
 
 __all__ = [
     "HcizParams",
-    "CosetAnglesU2",
-    "SpTwoElement",
     "hciz_u2",
     "hciz_sp2",
     "sample_coset_u2",
@@ -101,17 +99,6 @@ def _sp2_series(tt: complex) -> complex:
     return acc
 
 
-@dataclass(frozen=True)
-class CosetAnglesU2:
-    """U(2) coset angles: s = |U_12|^2 in [0,1], phase alpha in [-pi, pi)."""
-
-    s: float
-    alpha: float
-
-    def matrix(self) -> np.ndarray:
-        return _coset_matrices(np.asarray([self.s]), np.asarray([self.alpha]))[0]
-
-
 def _coset_matrices(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     sin_phi = np.sqrt(s)
     cos_phi = np.sqrt(1.0 - s)
@@ -124,19 +111,14 @@ def _coset_matrices(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return u
 
 
-def sample_coset_u2(rng) -> CosetAnglesU2:
-    """Haar draw on the U(2) coset: s uniform on [0,1], alpha uniform."""
+def sample_coset_u2(count: int, rng) -> np.ndarray:
+    """(count, 2, 2) Haar draws on the U(2) coset.
+
+    s = |U_12|^2 is uniform on [0, 1] and the phase alpha uniform on
+    [-pi, pi); the count values of s are drawn first, then those of alpha.
+    """
     gen = as_generator(rng)
-    return CosetAnglesU2(gen.uniform(0.0, 1.0), gen.uniform(-np.pi, np.pi))
-
-
-@dataclass(frozen=True)
-class SpTwoElement:
-    """Sp(2) coset element assembled from two U(2) coset factors."""
-
-    U: np.ndarray
-    V: np.ndarray
-    P: np.ndarray
+    return _coset_matrices(gen.uniform(0.0, 1.0, count), gen.uniform(-np.pi, np.pi, count))
 
 
 def _sp2_weight_inverse_cdf(p: np.ndarray) -> np.ndarray:
@@ -144,43 +126,35 @@ def _sp2_weight_inverse_cdf(p: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 - np.cbrt(1.0 - 2.0 * p))
 
 
-def _assemble_sp2(s_u: np.ndarray, alpha: np.ndarray,
-                  s_v: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    u = _coset_matrices(s_u, alpha)
-    v = _coset_matrices(s_v, beta)
-    shape = s_u.shape
-    v_blk = np.zeros(shape + (4, 4), dtype=complex)
-    v_blk[..., :2, :2] = v
-    v_blk[..., 2:, 2:] = v.conj()
+def sample_sp2(count: int, rng) -> np.ndarray:
+    """(count, 4, 4) draws of P = V U from dnu(P) = 3(1 - 2|V_12|^2)^2 dmu(U) dmu(V).
+
+    U and V are U(2) coset factors; the count values of s_U, alpha, s_V (by
+    inverse CDF of the weight) and beta are drawn in that order.
+    """
+    gen = as_generator(rng)
+    u = _coset_matrices(gen.uniform(0.0, 1.0, count), gen.uniform(-np.pi, np.pi, count))
+    v = _coset_matrices(_sp2_weight_inverse_cdf(gen.uniform(0.0, 1.0, count)),
+                        gen.uniform(-np.pi, np.pi, count))
+    v_blk = np.zeros((count, 4, 4), dtype=complex)
+    v_blk[:, :2, :2] = v
+    v_blk[:, 2:, 2:] = v.conj()
     sigma_p = np.array([[0.0, 1.0], [1.0, 0.0]])
-    cos_phi = u[..., 0, 0].real
-    sin_e = u[..., 0, 1]
-    u_blk = np.zeros(shape + (4, 4), dtype=complex)
-    u_blk[..., :2, :2] = cos_phi[..., None, None] * np.eye(2)
-    u_blk[..., 2:, 2:] = cos_phi[..., None, None] * np.eye(2)
-    u_blk[..., :2, 2:] = sin_e[..., None, None] * sigma_p
-    u_blk[..., 2:, :2] = -sin_e.conj()[..., None, None] * sigma_p
+    cos_phi = u[:, 0, 0].real
+    sin_e = u[:, 0, 1]
+    u_blk = np.zeros((count, 4, 4), dtype=complex)
+    u_blk[:, :2, :2] = cos_phi[:, None, None] * np.eye(2)
+    u_blk[:, 2:, 2:] = cos_phi[:, None, None] * np.eye(2)
+    u_blk[:, :2, 2:] = sin_e[:, None, None] * sigma_p
+    u_blk[:, 2:, :2] = -sin_e.conj()[:, None, None] * sigma_p
     return v_blk @ u_blk
 
 
-def sample_sp2(rng) -> SpTwoElement:
-    """Draw from dnu(P) = 3(1 - 2|V_12|^2)^2 dmu(U) dmu(V)."""
-    gen = as_generator(rng)
-    s_u = gen.uniform(0.0, 1.0)
-    alpha = gen.uniform(-np.pi, np.pi)
-    s_v = float(_sp2_weight_inverse_cdf(np.asarray(gen.uniform(0.0, 1.0))))
-    beta = gen.uniform(-np.pi, np.pi)
-    u = _coset_matrices(np.asarray([s_u]), np.asarray([alpha]))[0]
-    v = _coset_matrices(np.asarray([s_v]), np.asarray([beta]))[0]
-    p = _assemble_sp2(np.asarray([s_u]), np.asarray([alpha]),
-                      np.asarray([s_v]), np.asarray([beta]))[0]
-    return SpTwoElement(u, v, p)
-
-
 def symplectic_defect(p: np.ndarray) -> float:
-    """Max deviation from unitarity and from P sigma_hat P^t = sigma_hat."""
-    unitary = np.max(np.abs(p @ p.conj().T - np.eye(4)))
-    sympl = np.max(np.abs(p @ _SIGMA_HAT @ p.T - _SIGMA_HAT))
+    """Max deviation from unitarity and from P sigma_hat P^t = sigma_hat over (..., 4, 4)."""
+    pt = np.swapaxes(p, -1, -2)
+    unitary = np.max(np.abs(p @ pt.conj() - np.eye(4)))
+    sympl = np.max(np.abs(p @ _SIGMA_HAT @ pt - _SIGMA_HAT))
     return float(max(unitary, sympl))
 
 
@@ -200,51 +174,40 @@ def u2_quadrature(p: HcizParams, n_s: int = 96, n_alpha: int = 16) -> complex:
     return complex(np.einsum("s,sa->", ws, vals) / n_alpha)
 
 
-def mc_hciz_u2(p: HcizParams, draws: int, rng, chunk: int = 200_000) -> tuple[complex, float]:
-    """Monte Carlo over sample_coset_u2 draws; returns (mean, stderr)."""
+def _mc_mean(integrand, sampler, draws: int, rng, chunk: int) -> tuple[complex, float]:
+    """(mean, stderr) of integrand over draws of sampler, in batches of chunk."""
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     gen = as_generator(rng)
-    c = np.array([p.c1, p.c2])
-    d = np.array([p.d1, p.d2])
     total = 0.0 + 0.0j
     total_sq = 0.0
     done = 0
     while done < draws:
         b = min(chunk, draws - done)
-        u = _coset_matrices(gen.uniform(0.0, 1.0, b), gen.uniform(-np.pi, np.pi, b))
-        vals = np.exp(p.t * np.einsum("k,l,blk->b", c, d, np.abs(u) ** 2))
+        vals = integrand(sampler(b, gen))
         total += np.sum(vals)
         total_sq += float(np.sum(np.abs(vals) ** 2))
         done += b
     mean = total / draws
     var = max(total_sq / draws - abs(mean) ** 2, 0.0)
     return complex(mean), math.sqrt(var / draws)
+
+
+def mc_hciz_u2(p: HcizParams, draws: int, rng, chunk: int = 200_000) -> tuple[complex, float]:
+    """Monte Carlo over sample_coset_u2 draws; returns (mean, stderr)."""
+    c = np.array([p.c1, p.c2])
+    d = np.array([p.d1, p.d2])
+    return _mc_mean(lambda u: np.exp(p.t * np.einsum("k,l,blk->b", c, d, np.abs(u) ** 2)),
+                    sample_coset_u2, draws, rng, chunk)
 
 
 def mc_hciz_sp2(p: HcizParams, draws: int, rng, chunk: int = 100_000) -> tuple[complex, float]:
-    """Monte Carlo of int exp(t Tr G P* H P / 2) dnu(P) via sample_sp2 draws."""
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
-    gen = as_generator(rng)
+    """Monte Carlo of int exp(t Tr G P* H P / 2) dnu(P) over sample_sp2 draws."""
     g = np.array([p.d1, p.d2, p.d1, p.d2])
     h = np.array([p.c1, p.c2, p.c1, p.c2])
-    total = 0.0 + 0.0j
-    total_sq = 0.0
-    done = 0
-    while done < draws:
-        b = min(chunk, draws - done)
-        pm = _assemble_sp2(gen.uniform(0.0, 1.0, b), gen.uniform(-np.pi, np.pi, b),
-                           _sp2_weight_inverse_cdf(gen.uniform(0.0, 1.0, b)),
-                           gen.uniform(-np.pi, np.pi, b))
-        # Tr G P* H P = sum_{k,l} g_k h_l |P_lk|^2
-        vals = np.exp(0.5 * p.t * np.einsum("k,l,blk->b", g, h, np.abs(pm) ** 2))
-        total += np.sum(vals)
-        total_sq += float(np.sum(np.abs(vals) ** 2))
-        done += b
-    mean = total / draws
-    var = max(total_sq / draws - abs(mean) ** 2, 0.0)
-    return complex(mean), math.sqrt(var / draws)
+    # Tr G P* H P = sum_{k,l} g_k h_l |P_lk|^2
+    return _mc_mean(lambda pm: np.exp(0.5 * p.t * np.einsum("k,l,blk->b", g, h, np.abs(pm) ** 2)),
+                    sample_sp2, draws, rng, chunk)
 
 
 @dataclass(frozen=True)

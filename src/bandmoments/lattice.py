@@ -16,7 +16,6 @@ from scipy.linalg import solve_banded
 __all__ = [
     "LatticeParams",
     "TridiagonalOperator",
-    "VarianceProfile",
     "SingularSystemError",
     "neumann_laplacian",
     "variance_profile",
@@ -80,14 +79,6 @@ class TridiagonalOperator:
         return a
 
 
-@dataclass(frozen=True)
-class VarianceProfile:
-    """Entry variances J of the band ensemble; symmetric, rows sum to 1."""
-
-    params: LatticeParams
-    entries: np.ndarray
-
-
 def neumann_laplacian(m: int) -> TridiagonalOperator:
     """Discrete Laplacian on m sites with Neumann (reflecting) boundaries.
 
@@ -104,14 +95,13 @@ def neumann_laplacian(m: int) -> TridiagonalOperator:
     return TridiagonalOperator(diag, np.ones(m - 1))
 
 
-def variance_profile(params: LatticeParams) -> VarianceProfile:
-    """Variance profile J = (-W^2 Delta + 1)^{-1} via N tridiagonal solves."""
+def variance_profile(params: LatticeParams) -> np.ndarray:
+    """Entry variances J = (-W^2 Delta + 1)^{-1}, (N, N), symmetric, rows summing to 1."""
     N = params.N
     lap = neumann_laplacian(N)
     op = TridiagonalOperator(-params.W**2 * lap.diagonal, -params.W**2 * lap.offdiagonal)
     j = tridiagonal_solve(op, 1.0, np.eye(N))
-    j = 0.5 * (j + j.T)
-    return VarianceProfile(params, j)
+    return 0.5 * (j + j.T)
 
 
 def tridiagonal_solve(op: TridiagonalOperator, shift: complex, rhs: np.ndarray) -> np.ndarray:

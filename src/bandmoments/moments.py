@@ -254,7 +254,7 @@ def _stream_counts(total: int, streams: int) -> list[int]:
 def _run_scan(config: ScanConfig, lambdas: tuple[float, ...],
               pairs: tuple[tuple[int, int], ...]) -> SignedAccumulator:
     if config.lattice is not None:
-        profile = variance_profile(config.lattice).entries
+        profile = variance_profile(config.lattice)
     else:
         profile = goe_profile(config.goe_size)
     spec = _WorkerSpec(profile, np.asarray(lambdas),

@@ -6,12 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import MatrixSample
 from .kernels import semicircle_cdf
 
 __all__ = [
-    "Spectrum",
-    "SignedLogDet",
     "NcmHistogram",
     "eigenvalues",
     "signed_logdet",
@@ -19,29 +16,6 @@ __all__ = [
     "ncm",
     "semicircle_distance",
 ]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Ascending eigenvalues of one matrix sample."""
-
-    values: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class SignedLogDet:
-    """det = sign * exp(log_magnitude); sign 0 iff log_magnitude = -inf."""
-
-    sign: int
-    log_magnitude: float
-
-    @property
-    def value(self) -> float:
-        return self.sign * np.exp(self.log_magnitude)
 
 
 @dataclass(frozen=True)
@@ -53,13 +27,12 @@ class NcmHistogram:
     N: int
 
 
-def eigenvalues(sample: MatrixSample) -> Spectrum:
-    """Ascending spectrum via a dense symmetric eigensolver."""
+def eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix h (dense eigensolver)."""
     try:
-        vals = np.linalg.eigvalsh(sample.entries)
+        return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"symmetric eigensolver failed to converge: {exc}") from exc
-    return Spectrum(vals)
 
 
 def signed_logdets(eigs: np.ndarray, lambdas) -> tuple[np.ndarray, np.ndarray]:
@@ -77,19 +50,22 @@ def signed_logdets(eigs: np.ndarray, lambdas) -> tuple[np.ndarray, np.ndarray]:
     return logd, signs
 
 
-def signed_logdet(spectrum: Spectrum, lam: float) -> SignedLogDet:
-    """Signed log of det(lam - H) from the spectrum of H (see signed_logdets)."""
-    logd, signs = signed_logdets(spectrum.values[None, :], [lam])
-    return SignedLogDet(int(signs[0, 0]), float(logd[0, 0]))
+def signed_logdet(eigs: np.ndarray, lam: float) -> tuple[int, float]:
+    """(sign, log_magnitude) of det(lam - H) from the eigenvalues of H.
+
+    det = sign * exp(log_magnitude); see signed_logdets for the exact-hit case.
+    """
+    logd, signs = signed_logdets(eigs[None, :], [lam])
+    return int(signs[0, 0]), float(logd[0, 0])
 
 
-def ncm(spectrum: Spectrum, edges) -> NcmHistogram:
-    """Histogram of the normalized counting measure on the given edges."""
+def ncm(eigs: np.ndarray, edges) -> NcmHistogram:
+    """Histogram of the normalized counting measure of eigs on the given edges."""
     edges = np.asarray(edges, dtype=float)
     if np.any(np.diff(edges) <= 0):
         raise ValueError("histogram edges must be strictly ascending")
-    counts, _ = np.histogram(spectrum.values, bins=edges)
-    return NcmHistogram(edges, counts / spectrum.N, spectrum.N)
+    counts, _ = np.histogram(eigs, bins=edges)
+    return NcmHistogram(edges, counts / len(eigs), len(eigs))
 
 
 def semicircle_distance(hist: NcmHistogram) -> float:

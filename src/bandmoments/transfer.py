@@ -67,8 +67,7 @@ class Grid2D:
 
     nodes_a: np.ndarray
     weights_a: np.ndarray
-    nodes_b: np.ndarray
-    weights_b: np.ndarray
+    nodes_b: np.ndarray       # the a-nodes shifted by offset, with the same weights
     radius: float
     offset: float
 
@@ -87,8 +86,7 @@ class TransferKernel:
     inv_d3: np.ndarray
     gaa: np.ndarray           # also the b-b coupling: the b-grid is the shifted a-grid
     gab: np.ndarray
-    log_prefactor_magnitude: float
-    prefactor_sign: int
+    log_prefactor_magnitude: float   # the prefactor itself is -exp(this)
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,6 @@ class TransferResult:
     value: complex
     quadrature_error_estimate: float
     log_prefactor_magnitude: float
-    prefactor_sign: int
     imag_ratio: float
     converged: bool
 
@@ -133,7 +130,7 @@ def _build_grid(params: LatticeParams, lambda0: float, refine: float) -> Grid2D:
     if offset < _MIN_NODE_GAP:
         raise GridOffsetError(
             f"staggered grids leave |a - b| = {offset:.2e} < {_MIN_NODE_GAP:g}")
-    return Grid2D(nodes_a, weights_a, nodes_a + offset, weights_a, radius, offset)
+    return Grid2D(nodes_a, weights_a, nodes_a + offset, radius, offset)
 
 
 def _site_weights(grid: Grid2D, params: LatticeParams, lambda0: float, xi: float) -> np.ndarray:
@@ -146,7 +143,7 @@ def _site_weights(grid: Grid2D, params: LatticeParams, lambda0: float, xi: float
     phase = np.exp(-1j * xi * (a + b) / (params.N * rho(lambda0)))
     d = a - b
     return (ea * eb * phase * d**4
-            * grid.weights_a[:, None] * grid.weights_b[None, :])
+            * grid.weights_a[:, None] * grid.weights_a[None, :])
 
 
 def build_kernel(params: LatticeParams, lambda0: float, xi: float,
@@ -169,7 +166,7 @@ def build_kernel(params: LatticeParams, lambda0: float, xi: float,
         site=_site_weights(grid, params, lambda0, xi),
         inv_d2=d**-2.0, inv_d3=d**-3.0,
         gaa=gaa, gab=gab,
-        log_prefactor_magnitude=log_pref, prefactor_sign=-1)
+        log_prefactor_magnitude=log_pref)
 
 
 def _apply_bond(kernel: TransferKernel, v: np.ndarray) -> np.ndarray:
@@ -196,8 +193,7 @@ def _contract(kernel: TransferKernel) -> complex:
         v /= scale
         log_scale += math.log(scale)
     total = complex(np.sum(v))
-    return (kernel.prefactor_sign * total
-            * math.exp(kernel.log_prefactor_magnitude + log_scale))
+    return -total * math.exp(kernel.log_prefactor_magnitude + log_scale)
 
 
 def transfer_evaluate(kernel: TransferKernel) -> TransferResult:
@@ -217,7 +213,6 @@ def transfer_evaluate(kernel: TransferKernel) -> TransferResult:
         value=fine,
         quadrature_error_estimate=err,
         log_prefactor_magnitude=fine_kernel.log_prefactor_magnitude,
-        prefactor_sign=fine_kernel.prefactor_sign,
         imag_ratio=imag_ratio,
         converged=err <= 5e-3 * abs(fine),
     )

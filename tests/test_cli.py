@@ -70,6 +70,19 @@ class TestConfigFile:
             with pytest.raises(ValueError, match="'ensemble'"):
                 main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
 
+    @pytest.mark.parametrize("argv,key", [
+        (["scan-f2", "--xi-diffs", "0,a"], "xi_diffs"),
+        (["scan-f2", "--xi-diffs", ""], "xi_diffs"),
+        (["scan-f2", "--workers", "0"], "workers"),
+        (["verify-hciz", "--sets", "0"], "sets"),
+        (["verify-hciz", "--draws", "0"], "draws"),
+    ])
+    def test_bad_value_names_key(self, argv, key, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            main(argv + ["--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["verify-chain", "--draws", "5"],
                                       ["spectrum", "--workers", "2"]])
     def test_flag_of_another_command_rejected(self, argv, tmp_path):

@@ -11,7 +11,7 @@ from bandmoments.lattice import LatticeParams, variance_profile
 def _draw_band(n, w, count, seed):
     profile = variance_profile(LatticeParams(n, w))
     gen = RngStream(seed).generator()
-    return np.stack([sample_band(profile, gen).entries for _ in range(count)]), profile
+    return np.stack([sample_band(profile, gen) for _ in range(count)]), profile
 
 
 class TestSampleBand:
@@ -37,41 +37,41 @@ class TestSampleBand:
         se = np.std(prods, axis=0) / np.sqrt(m)
         theory = np.zeros((len(pairs), len(pairs)))
         for a, (i, j) in enumerate(pairs):
-            theory[a, a] = (2.0 if i == j else 1.0) * profile.entries[i, j]
+            theory[a, a] = (2.0 if i == j else 1.0) * profile[i, j]
         z = (emp - theory) / se
         assert np.max(np.abs(z)) < 5.0
 
     def test_bit_reproducible(self):
         prof = variance_profile(LatticeParams(3, 2.0))
-        a = sample_band(prof, RngStream(42, 7)).entries
-        b = sample_band(prof, RngStream(42, 7)).entries
+        a = sample_band(prof, RngStream(42, 7))
+        b = sample_band(prof, RngStream(42, 7))
         np.testing.assert_array_equal(a, b)
-        c = sample_band(prof, RngStream(42, 8)).entries
+        c = sample_band(prof, RngStream(42, 8))
         assert np.any(a != c)
 
     def test_batch_matches_single_draws(self):
         # the scan samples in batches; the batch size must not change the draws
         prof = variance_profile(LatticeParams(3, 2.0))
-        batch = sample_symmetric(prof.entries, 4, RngStream(9).generator())
+        batch = sample_symmetric(prof, 4, RngStream(9).generator())
         gen = RngStream(9).generator()
-        singles = np.stack([sample_band(prof, gen).entries for _ in range(4)])
+        singles = np.stack([sample_band(prof, gen) for _ in range(4)])
         np.testing.assert_array_equal(batch, singles)
 
 
 class TestSampleGoe:
     def test_single_site_variance(self):
         gen = RngStream(3).generator()
-        vals = np.array([sample_goe(1, gen).entries[0, 0] for _ in range(50_000)])
+        vals = np.array([sample_goe(1, gen)[0, 0] for _ in range(50_000)])
         assert abs(np.var(vals) - 2.0) < 5.0 * np.sqrt(2.0 * 4.0 / len(vals))
 
     def test_offdiagonal_variance_half(self):
         gen = RngStream(4).generator()
-        vals = np.array([sample_goe(2, gen).entries[0, 1] for _ in range(100_000)])
+        vals = np.array([sample_goe(2, gen)[0, 1] for _ in range(100_000)])
         assert abs(np.var(vals) - 0.5) < 5.0 * np.sqrt(2.0 * 0.25 / len(vals))
 
     def test_trace_centered(self):
         gen = RngStream(5).generator()
-        traces = np.array([np.trace(sample_goe(8, gen).entries) for _ in range(20_000)])
+        traces = np.array([np.trace(sample_goe(8, gen)) for _ in range(20_000)])
         assert abs(np.mean(traces)) < 5.0 * np.std(traces) / np.sqrt(len(traces))
 
     def test_rejects_empty(self):

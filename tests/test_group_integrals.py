@@ -113,16 +113,23 @@ class TestHcizSp2:
             assert val.real == pytest.approx(float(ds_kernel(math.pi * dxi)), abs=1e-12)
 
 
+def _sp2_s_v(p):
+    # P = V U: |P_12|^2 + |P_13|^2 = |V_12|^2 ((1 - s_U) + s_U)
+    return np.abs(p[:, 0, 1]) ** 2 + np.abs(p[:, 0, 2]) ** 2
+
+
 class TestCosetSamplers:
     def test_u2_matrix_realization(self):
-        el = sample_coset_u2(RngStream(30))
-        u = el.matrix()
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
-        assert abs(u[0, 1]) ** 2 == pytest.approx(el.s, abs=1e-14)
+        u = sample_coset_u2(5, RngStream(30))
+        assert u.shape == (5, 2, 2)
+        np.testing.assert_allclose(u @ np.swapaxes(u.conj(), 1, 2),
+                                   np.broadcast_to(np.eye(2), (5, 2, 2)), atol=1e-14)
+        # s = |U_12|^2 is the first block of uniforms the sampler draws
+        s = RngStream(30).generator().uniform(0.0, 1.0, 5)
+        np.testing.assert_allclose(np.abs(u[:, 0, 1]) ** 2, s, atol=1e-14)
 
     def test_u2_moments(self):
-        gen = RngStream(31).generator()
-        s = np.array([sample_coset_u2(gen).s for _ in range(200_000)])
+        s = np.abs(sample_coset_u2(200_000, RngStream(31))[:, 0, 1]) ** 2
         for k, expected in ((1, 0.5), (2, 1.0 / 3.0)):
             emp = np.mean(s**k)
             se = np.std(s**k) / math.sqrt(len(s))
@@ -134,8 +141,7 @@ class TestCosetSamplers:
 
     def test_sp2_weight_moment_vs_quadrature_oracle(self):
         oracle, _ = quad(lambda s: 3.0 * s * (1.0 - 2.0 * s) ** 2, 0.0, 1.0)
-        gen = RngStream(32).generator()
-        sv = np.array([abs(sample_sp2(gen).V[0, 1]) ** 2 for _ in range(20_000)])
+        sv = _sp2_s_v(sample_sp2(20_000, RngStream(32)))
         se = np.std(sv) / math.sqrt(len(sv))
         assert abs(np.mean(sv) - oracle) < 3.0 * se
 
@@ -145,9 +151,42 @@ class TestCosetSamplers:
         assert _sp2_weight_inverse_cdf(np.array(0.5)) == pytest.approx(0.5)
 
     def test_sp2_elements_are_symplectic(self):
-        gen = RngStream(33).generator()
-        worst = max(symplectic_defect(sample_sp2(gen).P) for _ in range(10_000))
-        assert worst < 1e-12
+        assert symplectic_defect(sample_sp2(10_000, RngStream(33))) < 1e-12
+
+    def test_sp2_factors_match_their_draws(self):
+        # s_U, alpha, s_V (inverse CDF), beta: one block of uniforms each
+        p = sample_sp2(6, RngStream(34))
+        gen = RngStream(34).generator()
+        s_u = gen.uniform(0.0, 1.0, 6)
+        gen.uniform(-np.pi, np.pi, 6)
+        s_v = _sp2_weight_inverse_cdf(gen.uniform(0.0, 1.0, 6))
+        np.testing.assert_allclose(_sp2_s_v(p), s_v, atol=1e-14)
+        np.testing.assert_allclose(np.abs(p[:, 1, 1]) ** 2, (1.0 - s_u) * (1.0 - s_v),
+                                   atol=1e-14)
+
+
+class TestOneSampler:
+    """Each Monte Carlo mean is the integrand averaged over its group's sampler."""
+
+    P = _random_params(13, 1)[0]
+
+    def test_u2_mean_over_sampler_draws(self):
+        c = np.array([self.P.c1, self.P.c2])
+        d = np.array([self.P.d1, self.P.d2])
+        u = sample_coset_u2(5_000, RngStream(50))
+        vals = np.exp(self.P.t * np.einsum("k,l,blk->b", c, d, np.abs(u) ** 2))
+        mean, se = mc_hciz_u2(self.P, 5_000, RngStream(50))
+        assert mean == np.sum(vals) / len(vals)
+        assert se == pytest.approx(np.std(vals) / math.sqrt(len(vals)), rel=1e-9)
+
+    def test_sp2_mean_over_sampler_draws(self):
+        g = np.array([self.P.d1, self.P.d2, self.P.d1, self.P.d2])
+        h = np.array([self.P.c1, self.P.c2, self.P.c1, self.P.c2])
+        p = sample_sp2(5_000, RngStream(51))
+        vals = np.exp(0.5 * self.P.t * np.einsum("k,l,blk->b", g, h, np.abs(p) ** 2))
+        mean, se = mc_hciz_sp2(self.P, 5_000, RngStream(51))
+        assert mean == np.sum(vals) / len(vals)
+        assert se == pytest.approx(np.std(vals) / math.sqrt(len(vals)), rel=1e-9)
 
 
 class TestReductionCheck:

@@ -43,28 +43,27 @@ class TestVarianceProfile:
         expected = np.array([[0.625, 0.25, 0.125],
                              [0.25, 0.5, 0.25],
                              [0.125, 0.25, 0.625]])
-        np.testing.assert_allclose(prof.entries, expected, atol=1e-14)
-        np.testing.assert_allclose(prof.entries, _dense_profile(1, 1.0), atol=1e-14)
+        np.testing.assert_allclose(prof, expected, atol=1e-14)
+        np.testing.assert_allclose(prof, _dense_profile(1, 1.0), atol=1e-14)
 
     def test_single_site(self):
         np.testing.assert_array_equal(
-            variance_profile(LatticeParams(0, 3.0)).entries, [[1.0]])
+            variance_profile(LatticeParams(0, 3.0)), [[1.0]])
 
     @pytest.mark.parametrize("n,w", [(1, 1.0), (5, 2.0), (13, 4.0), (31, 16.0)])
     def test_rows_sum_to_one(self, n, w):
         prof = variance_profile(LatticeParams(n, w))
-        np.testing.assert_allclose(prof.entries.sum(axis=1), 1.0, atol=1e-10)
+        np.testing.assert_allclose(prof.sum(axis=1), 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 7, 31])
     def test_matches_dense_inverse(self, n):
         w = float(RNG.uniform(0.5, 8.0))
         prof = variance_profile(LatticeParams(n, w))
-        assert np.max(np.abs(prof.entries - _dense_profile(n, w))) < 1e-10
+        assert np.max(np.abs(prof - _dense_profile(n, w))) < 1e-10
 
     @pytest.mark.parametrize("w", [1.0, 4.0, 16.0])
     def test_rows_decay_away_from_diagonal(self, w):
-        prof = variance_profile(LatticeParams(127, w))  # N = 255
-        j = prof.entries
+        j = variance_profile(LatticeParams(127, w))  # N = 255
         assert np.all(j > 0.0)
         for i in (0, 64, 127, 254):
             row = j[i]
@@ -75,7 +74,7 @@ class TestVarianceProfile:
 
     def test_symmetry_exact(self):
         prof = variance_profile(LatticeParams(8, 2.0))
-        np.testing.assert_array_equal(prof.entries, prof.entries.T)
+        np.testing.assert_array_equal(prof, prof.T)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,6 @@ class TestSingleSiteAnchor:
         lam = lambda0 + xi / rho(lambda0)
         assert result.f2 == pytest.approx(lam**2 + 2.0, rel=1e-6)
         assert result.imag_ratio < 1e-6
-        assert result.prefactor_sign == -1
 
 
 class TestKernelStructure:
@@ -55,7 +54,7 @@ class TestKernelStructure:
     def test_site_weights_even_for_centered_band(self):
         # w(a, b) = w(-a, -b) at lambda0 = 0, xi = 0
         nodes = np.array([-1.7, -0.6, -0.25, 0.25, 0.6, 1.7])
-        grid = Grid2D(nodes, np.ones(6), nodes, np.ones(6), 2.0, 0.0)
+        grid = Grid2D(nodes, np.ones(6), nodes, 2.0, 0.0)
         w = _site_weights(grid, LatticeParams(1, 1.0), 0.0, 0.0)
         np.testing.assert_allclose(w, w[::-1, ::-1], rtol=1e-13, atol=1e-16)
 
@@ -88,8 +87,7 @@ class TestDenseKernelOracle:
             dense[i] = gauss * vals
         # two bonds: site . K . diag(site) . K . site
         chain = complex(site @ (dense @ (site * (dense @ site))))
-        expected = (k.prefactor_sign * chain
-                    * math.exp(k.log_prefactor_magnitude))
+        expected = -chain * math.exp(k.log_prefactor_magnitude)
         got = _contract(k)
         assert got == pytest.approx(expected, rel=1e-10)
 
