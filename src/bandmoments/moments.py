@@ -17,9 +17,13 @@ cancelling catastrophically and is exactly zero on diagonal points.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -221,6 +225,42 @@ class _WorkerSpec:
     master_seed: int
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its count.
+
+    Left alone, each pool worker starts one BLAS thread per core and the
+    workers oversubscribe the machine (at GOE N=256 on 2 cores, 2 workers ran
+    6x slower than 1). One thread in every path also keeps the eigenvalues,
+    and so a scan, bit-identical for every worker count.  Without a bundled
+    OpenBLAS the block runs as is.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _scan_stream(args: tuple[_WorkerSpec, int, int]) -> SignedAccumulator:
     """One substream's pools, shape (6, rows): per scan row with energies
     (l1, l2), A = det1 det2, B = det1^2, C = det2^2 and the products AB, AC, BC.
@@ -230,11 +270,12 @@ def _scan_stream(args: tuple[_WorkerSpec, int, int]) -> SignedAccumulator:
     n = len(spec.profile)
     step = max(_CHUNK_ENTRIES // (n * n), 1)
     logd, signs = [], []
-    for done in range(0, count, step):
-        h = sample_symmetric(spec.profile, min(step, count - done), gen)
-        ld, sg = signed_logdets(np.linalg.eigvalsh(h), spec.lambdas)
-        logd.append(ld)
-        signs.append(sg)
+    with _one_blas_thread():
+        for done in range(0, count, step):
+            h = sample_symmetric(spec.profile, min(step, count - done), gen)
+            ld, sg = signed_logdets(np.linalg.eigvalsh(h), spec.lambdas)
+            logd.append(ld)
+            signs.append(sg)
     logd, signs = np.concatenate(logd), np.concatenate(signs)
     i1, i2 = spec.pairs[:, 0], spec.pairs[:, 1]
     la, lb, lc = logd[:, i1] + logd[:, i2], 2.0 * logd[:, i1], 2.0 * logd[:, i2]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bandmoments import moments
 from bandmoments.kernels import ds_kernel, rho
 from bandmoments.lattice import LatticeParams
 from bandmoments.moments import (MomentEstimate, ScanConfig,
@@ -248,6 +249,25 @@ class TestEstimateRatio:
                        num_streams=8, workers=2))
         for a, b in zip(serial, parallel):
             assert (a.ratio, a.stderr) == (b.ratio, b.stderr)
+
+    def test_worker_partition_deterministic_at_blas_size(self):
+        # N=256 eigensolves are large enough for OpenBLAS to split over threads.
+        configs = [ScanConfig(lambda0=0.0, xi_pairs=((0.5, -0.5),), num_samples=16,
+                              master_seed=3, goe_size=256, num_streams=4, workers=w)
+                   for w in (1, 2)]
+        serial, parallel = (estimate_ratio(c)[0] for c in configs)
+        assert (serial.ratio, serial.stderr) == (parallel.ratio, parallel.stderr)
+
+    def test_scan_blas_runs_on_one_thread(self):
+        threads = moments._openblas_threads()
+        if threads is None:  # no bundled OpenBLAS: the context does nothing
+            with moments._one_blas_thread():
+                return
+        get, _ = threads
+        before = get()
+        with moments._one_blas_thread():
+            assert get() == 1
+        assert get() == before
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
