@@ -20,6 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .chain import (ChainParams, chain_log_asymptotic, chain_log_partition,
@@ -30,7 +31,8 @@ from .group_integrals import (TAYLOR_CUTOFF, HcizParams, hciz_sp2, hciz_u2,
                               u2_quadrature)
 from .kernels import semicircle_cdf
 from .lattice import LatticeParams, variance_profile
-from .moments import ScanConfig, estimate_ratio
+from .moments import (_SCAN_BLAS_THREADS, ScanConfig, _openblas_threads,
+                      estimate_ratio)
 from .spectral import eigenvalues, ncm, semicircle_distance
 from .transfer import cross_validate
 
@@ -150,11 +152,16 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_manifest(outdir: Path, command: str, cfg: dict, summary: dict) -> None:
+def _write_manifest(outdir: Path, command: str, cfg: dict, summary: dict,
+                    **environment) -> None:
+    threads = _openblas_threads()
     manifest = {
         "command": command,
         "version": __version__,
         "git": _git_describe(),
+        "environment": {"numpy": np.__version__, "scipy": scipy.__version__,
+                        "openblas_threads": None if threads is None else threads[0](),
+                        **environment},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "seed": cfg.get("seed"),
         "config": {k: cfg[k] for k in sorted(cfg)},
@@ -237,7 +244,9 @@ def cmd_scan_f2(cfg: dict) -> int:
                [(r.xi1, r.xi2, r.ratio, r.stderr, r.ds_ref, r.flag) for r in rows])
     dev = max((abs(r.ratio - r.ds_ref) for r in rows if r.flag == "ok"),
               default=math.nan)
-    _write_manifest(outdir, "scan-f2", cfg, {"max_abs_deviation": dev})
+    pinned = None if _openblas_threads() is None else _SCAN_BLAS_THREADS
+    _write_manifest(outdir, "scan-f2", cfg, {"max_abs_deviation": dev},
+                    scan_blas_threads=pinned)
     print(f"max |ratio - DS| = {dev:.6f}")
     return 0
 

@@ -225,6 +225,9 @@ class _WorkerSpec:
     master_seed: int
 
 
+_SCAN_BLAS_THREADS = 1       # OpenBLAS threads of a scan's eigensolves
+
+
 @functools.cache
 def _openblas_threads():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
@@ -254,7 +257,7 @@ def _one_blas_thread():
         return
     get, put = threads
     before = get()
-    put(1)
+    put(_SCAN_BLAS_THREADS)
     try:
         yield
     finally:

@@ -17,10 +17,27 @@ and bond kernel (tt = W^2 (a - b)(a' - b'))
     Gd = exp(-(W^2/2)((a-a')^2 + (b-b')^2)),
     Gs = exp(-(W^2/2)((a-b')^2 + (b-a')^2)).
 
-The kernel is separable in the two variables, so one application costs four
-grid-sized matrix products instead of a (G^2)^2 kernel.  The a- and b-grids
-are staggered by half the smallest node gap, which keeps a - b (and with it
-the 1/tt^3 cancellations) bounded away from zero; the site factor (a-b)^4
+The kernel is separable in the two variables.  On the grid, with
+gaa[i, j] = exp(-W^2 (a_i - a_j)^2 / 2) (also the b-b coupling, the b-grid
+being the shifted a-grid) and gab[i, j] = exp(-W^2 (a_i - b_j)^2 / 2), one
+bond maps v to
+
+    (6/W^4) (gaa M2 gaa + gab M2^T gab) / d^2
+        - (12/W^6) (gaa M3 gaa - gab M3^T gab) / d^3,   Mk = v / d^k,
+
+with d = a - b taken entrywise.  Gaussian couplings have a numerical rank
+far below the grid size G (about G/5), so build_kernel stores them as real
+factors gaa = Ua Ua^T (eigh) and gab = Ub Vb (SVD), keeping the eigen- and
+singular values above float eps times the largest: what is dropped lies
+below the rounding of the factorisation itself.  With r = ka + kb columns,
+
+    gaa M gaa +- gab M^T gab
+        = [Ua | Ub] blockdiag(Ua^T M Ua, +-Vb M^T Ub) [Ua^T ; Vb],
+
+and a bond costs O(r G^2) in real matrix products on the real and imaginary
+parts of M, instead of O(G^3) in complex ones.  The a- and b-grids are
+staggered by half the smallest node gap, which keeps a - b (and with it the
+1/tt^3 cancellations) bounded away from zero; the site factor (a-b)^4
 suppresses the near-diagonal region those terms live on.
 """
 
@@ -84,8 +101,9 @@ class TransferKernel:
     site: np.ndarray          # w(a,b) * quadrature weights, complex (Ga, Gb)
     inv_d2: np.ndarray
     inv_d3: np.ndarray
-    gaa: np.ndarray           # also the b-b coupling: the b-grid is the shifted a-grid
-    gab: np.ndarray
+    left: np.ndarray          # [Ua | Ub], (G, r)
+    right: np.ndarray         # [Ua^T ; Vb], (r, G)
+    rank_a: int               # columns of Ua
     log_prefactor_magnitude: float   # the prefactor itself is -exp(this)
 
 
@@ -146,14 +164,26 @@ def _site_weights(grid: Grid2D, params: LatticeParams, lambda0: float, xi: float
             * grid.weights_a[:, None] * grid.weights_a[None, :])
 
 
+def _coupling_factors(w2: float, a: np.ndarray,
+                      b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """[Ua | Ub], [Ua^T ; Vb] and ka, with gaa = Ua Ua^T and gab = Ub Vb."""
+    eps = np.finfo(float).eps
+    vals, vecs = np.linalg.eigh(np.exp(-0.5 * w2 * (a[:, None] - a[None, :]) ** 2))
+    keep = vals > eps * vals[-1]
+    ua = vecs[:, keep] * np.sqrt(vals[keep])
+    u, s, vt = np.linalg.svd(np.exp(-0.5 * w2 * (a[:, None] - b[None, :]) ** 2))
+    root = np.sqrt(s[s > eps * s[0]])
+    ub, vb = u[:, :len(root)] * root, root[:, None] * vt[:len(root)]
+    return np.hstack((ua, ub)), np.vstack((ua.T, vb)), ua.shape[1]
+
+
 def build_kernel(params: LatticeParams, lambda0: float, xi: float,
                  refine: float = 1.0) -> TransferKernel:
     """Assemble grid, site weights, bond couplings, and the global prefactor."""
     grid = _build_grid(params, lambda0, refine)
     w2 = params.W**2
     a, b = grid.nodes_a, grid.nodes_b
-    gaa = np.exp(-0.5 * w2 * (a[:, None] - a[None, :]) ** 2)
-    gab = np.exp(-0.5 * w2 * (a[:, None] - b[None, :]) ** 2)
+    left, right, rank_a = _coupling_factors(w2, a, b)
     d = a[:, None] - b[None, :]
     lap = neumann_laplacian(params.N)
     profile_op = TridiagonalOperator(-w2 * lap.diagonal, -w2 * lap.offdiagonal)
@@ -165,21 +195,25 @@ def build_kernel(params: LatticeParams, lambda0: float, xi: float,
         params=params, lambda0=lambda0, xi=xi, refine=refine, grid=grid,
         site=_site_weights(grid, params, lambda0, xi),
         inv_d2=d**-2.0, inv_d3=d**-3.0,
-        gaa=gaa, gab=gab,
+        left=left, right=right, rank_a=rank_a,
         log_prefactor_magnitude=log_pref)
 
 
 def _apply_bond(kernel: TransferKernel, v: np.ndarray) -> np.ndarray:
-    w4 = kernel.params.W**4
-    w6 = kernel.params.W**6
-    m2 = v * kernel.inv_d2
-    m3 = v * kernel.inv_d3
-    direct2 = kernel.gaa @ m2 @ kernel.gaa
-    direct3 = kernel.gaa @ m3 @ kernel.gaa
-    swap2 = kernel.gab @ (m2.T @ kernel.gab)
-    swap3 = kernel.gab @ (m3.T @ kernel.gab)
-    return ((6.0 / w4) * kernel.inv_d2 * (direct2 + swap2)
-            - (12.0 / w6) * kernel.inv_d3 * (direct3 - swap3))
+    """One bond of the chain (module docstring) applied to v, (G, G) complex."""
+    left, right, ka = kernel.left, kernel.right, kernel.rank_a
+    planes = np.stack((v.real, v.imag))          # (2, G, G): real GEMMs only
+    out = np.zeros_like(planes)
+    for inv_d, coeff, sign in ((kernel.inv_d2, 6.0 / kernel.params.W**4, 1.0),
+                               (kernel.inv_d3, -12.0 / kernel.params.W**6, -1.0)):
+        t = left.T @ (planes * inv_d)            # (2, r, G): [Ua^T M ; Ub^T M]
+        # blockdiag(Ua^T M Ua, sign Vb M^T Ub) @ right, (2, r, G)
+        core_right = np.concatenate(
+            (t[:, :ka] @ left[:, :ka] @ right[:ka],
+             sign * (t[:, ka:] @ right[ka:].T).transpose(0, 2, 1) @ right[ka:]),
+            axis=1)
+        out += coeff * inv_d * (left @ core_right)
+    return out[0] + 1j * out[1]
 
 
 def _contract(kernel: TransferKernel) -> complex:

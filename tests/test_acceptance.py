@@ -10,14 +10,13 @@ measured statistics behind any red result).
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bandmoments.cli import (chain_suite, hciz_suite, main, reduction_suite)
 from bandmoments.ensemble import RngStream, sample_band, sample_goe
-from bandmoments.kernels import rho, saddle_data, saddle_f
+from bandmoments.kernels import saddle_data, saddle_f
 from bandmoments.lattice import LatticeParams, variance_profile
 from bandmoments.moments import ScanConfig, estimate_ratio
 from bandmoments.spectral import ncm, semicircle_distance

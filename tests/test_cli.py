@@ -5,9 +5,11 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
-from bandmoments import cli
+from bandmoments import cli, moments
 from bandmoments.cli import CheckRow, load_config_file, main
 from bandmoments.group_integrals import hciz_u2
 
@@ -208,6 +210,20 @@ class TestManifest:
             pytest.skip("package is not in a git checkout")
         monkeypatch.chdir(tmp_path)
         assert cli._git_describe() != "unknown"
+
+    def test_records_libraries_and_blas_threads(self, tmp_path):
+        threads = moments._openblas_threads()
+        expected = {"numpy": np.__version__, "scipy": scipy.__version__,
+                    "openblas_threads": None if threads is None else threads[0]()}
+        assert main(["spectrum", "--size", "8", "--samples", "2", "--bins", "5",
+                     "--out", str(tmp_path / "s")]) == 0
+        manifest = json.loads(_read(tmp_path / "s" / "manifest.json"))
+        assert manifest["environment"] == expected
+        assert main(["scan-f2", "--size", "8", "--samples", "40", "--xi-diffs", "0,1",
+                     "--out", str(tmp_path / "f")]) == 0
+        manifest = json.loads(_read(tmp_path / "f" / "manifest.json"))
+        assert manifest["environment"] == {
+            **expected, "scan_blas_threads": None if threads is None else 1}
 
 
 class TestCheckRow:

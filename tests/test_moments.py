@@ -8,8 +8,7 @@ import pytest
 from bandmoments import moments
 from bandmoments.kernels import ds_kernel, rho
 from bandmoments.lattice import LatticeParams
-from bandmoments.moments import (MomentEstimate, ScanConfig,
-                                 SignedAccumulator, estimate_f2,
+from bandmoments.moments import (ScanConfig, SignedAccumulator, estimate_f2,
                                  estimate_ratio, scaled_energies)
 
 RNG = np.random.default_rng(2)

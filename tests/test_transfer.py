@@ -9,9 +9,23 @@ import bandmoments.transfer as transfer
 from bandmoments.group_integrals import HcizParams, hciz_sp2
 from bandmoments.kernels import rho
 from bandmoments.lattice import LatticeParams
-from bandmoments.transfer import (Grid2D, GridOffsetError, _contract,
-                                  _site_weights, build_kernel, cross_validate,
-                                  transfer_evaluate)
+from bandmoments.transfer import (Grid2D, GridOffsetError, _apply_bond,
+                                  _contract, _site_weights, build_kernel,
+                                  cross_validate, transfer_evaluate)
+
+
+def _closed_form_couplings(k):
+    """gaa and gab straight from the Gaussian, for the kernel's grid."""
+    w2 = k.params.W**2
+    a, b = k.grid.nodes_a, k.grid.nodes_b
+    return (np.exp(-0.5 * w2 * (a[:, None] - a[None, :]) ** 2),
+            np.exp(-0.5 * w2 * (a[:, None] - b[None, :]) ** 2))
+
+
+def _rebuilt_couplings(k):
+    """gaa = Ua Ua^T and gab = Ub Vb from the kernel's factors."""
+    ka = k.rank_a
+    return k.left[:, :ka] @ k.right[:ka], k.left[:, ka:] @ k.right[ka:]
 
 
 class TestSingleSiteAnchor:
@@ -29,11 +43,12 @@ class TestSingleSiteAnchor:
 class TestKernelStructure:
     def test_gaussian_couplings_symmetric(self):
         k = build_kernel(LatticeParams(1, 2.0), 0.3, 0.1)
-        np.testing.assert_array_equal(k.gaa, k.gaa.T)
+        gaa, _ = _rebuilt_couplings(k)
+        np.testing.assert_allclose(gaa, gaa.T, rtol=0.0, atol=1e-15)
         # the b-grid is the shifted a-grid, so its coupling is gaa itself
         b = k.grid.nodes_b
         gbb = np.exp(-0.5 * k.params.W**2 * (b[:, None] - b[None, :]) ** 2)
-        np.testing.assert_allclose(gbb, k.gaa, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(gbb, gaa, rtol=0.0, atol=1e-14)
 
     def test_nodes_stay_apart(self):
         k = build_kernel(LatticeParams(1, 1.0), 0.0, 0.0)
@@ -62,7 +77,44 @@ class TestKernelStructure:
         k = build_kernel(LatticeParams(1, 4.0), 0.0, 0.0)
         a = k.grid.nodes_a
         far = np.abs(a[:, None] - a[None, :]) > 1.0
-        assert np.max(k.gaa[far]) < 1e-3
+        gaa, _ = _rebuilt_couplings(k)
+        assert np.max(gaa[far]) < 1e-3
+
+
+BOND_POINTS = [(1, 1.0, 0.0, 0.0), (1, 2.0, 1.0, 0.7), (4, 4.0, 1.5, -0.5),
+               (16, 4.0, 1.0, 0.7), (1, 8.0, 0.0, 0.5)]
+
+
+class TestFactoredBond:
+    @pytest.mark.parametrize("half_width,w,lambda0,xi", BOND_POINTS)
+    @pytest.mark.parametrize("refine", [1.0, 2.0])
+    def test_factors_rebuild_couplings(self, half_width, w, lambda0, xi, refine):
+        k = build_kernel(LatticeParams(half_width, w), lambda0, xi, refine=refine)
+        for got, want in zip(_rebuilt_couplings(k), _closed_form_couplings(k)):
+            # eigh and SVD round at about eps * |g|, whose row sums are ~20 on
+            # the coarse grid and ~40 on the refined one; untruncated factors
+            # err as much
+            norm = np.abs(want).sum(axis=1).max()
+            atol = 1e-14 if refine == 1.0 else 4 * np.finfo(float).eps * norm
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+        assert k.left.shape[1] == k.right.shape[0] < len(k.grid.nodes_a)
+
+    @pytest.mark.parametrize("half_width,w,lambda0,xi", BOND_POINTS)
+    def test_matches_dense_bond(self, half_width, w, lambda0, xi):
+        k = build_kernel(LatticeParams(half_width, w), lambda0, xi)
+        gaa, gab = _closed_form_couplings(k)
+        gen = np.random.default_rng(5)
+        v = k.site * (gen.standard_normal(k.site.shape) + 1j * gen.standard_normal(k.site.shape))
+        m2 = v * k.inv_d2
+        m3 = v * k.inv_d3
+        dense = ((6.0 / w**4) * k.inv_d2 * (gaa @ m2 @ gaa + gab @ m2.T @ gab)
+                 - (12.0 / w**6) * k.inv_d3 * (gaa @ m3 @ gaa - gab @ m3.T @ gab))
+        # the chain multiplies each bond's output by the site weight at once;
+        # that weight's (a-b)^4 cancels the 1/d^3 that turns rounding in
+        # either formula into ~1e-9 relative noise at the smallest |a - b|
+        got = _apply_bond(k, v) * k.site
+        want = dense * k.site
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestDenseKernelOracle:
