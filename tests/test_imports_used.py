@@ -1,4 +1,7 @@
-"""Every name a module imports is used in it (no linter is installed, so this is the lint)."""
+"""Every name a module imports is used in it.
+
+The project configures no linter, so this test is its import lint.
+"""
 
 import ast
 from pathlib import Path
