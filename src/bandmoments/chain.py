@@ -139,6 +139,8 @@ def tail_probability(m: int, W: float, gamma_real: float, delta: float,
         raise ValueError(f"delta must be positive, got {delta}")
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     gen = as_generator(rng)
     cb = _chain_cholesky(m, W, gamma_real)
     exceed = 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import erfc
@@ -99,14 +100,20 @@ def _sp2_series(tt: complex) -> complex:
     return acc
 
 
-def _coset_matrices(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def _coset_entries(s: np.ndarray,
+                   alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos phi = U_11 = U_22, U_12 and U_21 of the U(2) coset element with s = |U_12|^2."""
     sin_phi = np.sqrt(s)
-    cos_phi = np.sqrt(1.0 - s)
     phase = np.exp(1j * alpha)
+    return np.sqrt(1.0 - s), sin_phi * phase, -sin_phi / phase
+
+
+def _coset_matrices(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    cos_phi, u12, u21 = _coset_entries(s, alpha)
     u = np.empty(s.shape + (2, 2), dtype=complex)
     u[..., 0, 0] = cos_phi
-    u[..., 0, 1] = sin_phi * phase
-    u[..., 1, 0] = -sin_phi / phase
+    u[..., 0, 1] = u12
+    u[..., 1, 0] = u21
     u[..., 1, 1] = cos_phi
     return u
 
@@ -130,24 +137,31 @@ def sample_sp2(count: int, rng) -> np.ndarray:
     """(count, 4, 4) draws of P = V U from dnu(P) = 3(1 - 2|V_12|^2)^2 dmu(U) dmu(V).
 
     U and V are U(2) coset factors; the count values of s_U, alpha, s_V (by
-    inverse CDF of the weight) and beta are drawn in that order.
+    inverse CDF of the weight) and beta are drawn in that order.  With
+    cos phi = U_11 = sqrt(1 - s_U), e = U_12 = sqrt(s_U) e^{i alpha}, v the
+    2x2 V factor and sigma = [[0, 1], [1, 0]], the 2x2 blocks of P are
+
+        P = [[ cos phi v,                e v sigma       ],
+             [-conj(e) conj(v) sigma,    cos phi conj(v) ]],
+
+    and each of the 16 entries is written from the factors' entries (v sigma
+    swaps the columns of v).  The entries are stored entry-major, so the
+    result is a transposed view of a (4, 4, count) array.
     """
     gen = as_generator(rng)
-    u = _coset_matrices(gen.uniform(0.0, 1.0, count), gen.uniform(-np.pi, np.pi, count))
-    v = _coset_matrices(_sp2_weight_inverse_cdf(gen.uniform(0.0, 1.0, count)),
-                        gen.uniform(-np.pi, np.pi, count))
-    v_blk = np.zeros((count, 4, 4), dtype=complex)
-    v_blk[:, :2, :2] = v
-    v_blk[:, 2:, 2:] = v.conj()
-    sigma_p = np.array([[0.0, 1.0], [1.0, 0.0]])
-    cos_phi = u[:, 0, 0].real
-    sin_e = u[:, 0, 1]
-    u_blk = np.zeros((count, 4, 4), dtype=complex)
-    u_blk[:, :2, :2] = cos_phi[:, None, None] * np.eye(2)
-    u_blk[:, 2:, 2:] = cos_phi[:, None, None] * np.eye(2)
-    u_blk[:, :2, 2:] = sin_e[:, None, None] * sigma_p
-    u_blk[:, 2:, :2] = -sin_e.conj()[:, None, None] * sigma_p
-    return v_blk @ u_blk
+    cos_phi, e, _ = _coset_entries(gen.uniform(0.0, 1.0, count),
+                                   gen.uniform(-np.pi, np.pi, count))
+    cos_v, v12, v21 = _coset_entries(_sp2_weight_inverse_cdf(gen.uniform(0.0, 1.0, count)),
+                                     gen.uniform(-np.pi, np.pi, count))
+    minus_e_bar = -e.conj()
+    p = np.empty((4, 4, count), dtype=complex)
+    for (i, j), vij in (((0, 0), cos_v), ((0, 1), v12), ((1, 0), v21), ((1, 1), cos_v)):
+        vij_bar = vij.conj()
+        p[i, j] = cos_phi * vij
+        p[i, 3 - j] = e * vij
+        p[2 + i, 1 - j] = minus_e_bar * vij_bar
+        p[2 + i, 2 + j] = cos_phi * vij_bar
+    return p.transpose(2, 0, 1)
 
 
 def symplectic_defect(p: np.ndarray) -> float:
@@ -174,10 +188,16 @@ def u2_quadrature(p: HcizParams, n_s: int = 96, n_alpha: int = 16) -> complex:
     return complex(np.einsum("s,sa->", ws, vals) / n_alpha)
 
 
-def _mc_mean(integrand, sampler, draws: int, rng, chunk: int) -> tuple[complex, float]:
-    """(mean, stderr) of integrand over draws of sampler, in batches of chunk."""
+def _check_budget(draws: int, chunk: int) -> None:
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
+
+
+def _mc_mean(integrand, sampler, draws: int, rng, chunk: int) -> tuple[complex, float]:
+    """(mean, stderr) of integrand over draws of sampler, in batches of chunk."""
+    _check_budget(draws, chunk)
     gen = as_generator(rng)
     total = 0.0 + 0.0j
     total_sq = 0.0
@@ -221,9 +241,32 @@ class ReductionReport:
     stderr_ok: bool
 
 
+def _box_eigenvalues(gen, count: int, box: float, t: float, d1: float,
+                     d2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue pairs of count draws of F, less those outside the box.
+
+    The (count, 6) draw and its per-coordinate arrays are freed on return,
+    before any observable is evaluated.
+    """
+    z = gen.standard_normal((count, 6))
+    cols = [z[:, k] for k in range(6)]
+    # row max and min, column by column: no (count, 6) temporary
+    keep = (reduce(np.maximum, cols) <= box) & (reduce(np.minimum, cols) >= -box)
+    if not keep.all():
+        cols = [c[keep] for c in cols]
+    sd_xy = 1.0 / math.sqrt(t)
+    sd_w = 1.0 / math.sqrt(2.0 * t)
+    x = d1 + sd_xy * cols[0]
+    y = d2 + sd_xy * cols[1]
+    w2 = sd_w**2 * (cols[2] ** 2 + cols[3] ** 2 + cols[4] ** 2 + cols[5] ** 2)
+    half_gap = np.sqrt(0.25 * (x - y) ** 2 + w2)
+    mid = 0.5 * (x + y)
+    return mid + half_gap, mid - half_gap
+
+
 def reduction_check(t: float, d1: float, d2: float, phi, box: float = 7.0,
                     draws: int = 10_000_000, rng=None,
-                    chunk: int = 1_000_000) -> ReductionReport:
+                    chunk: int = 1_000_000) -> ReductionReport | tuple[ReductionReport, ...]:
     """Compare the 6-dim Gaussian integral of Phi(F) with its 2-dim reduction.
 
     LHS: Monte Carlo over (x, y, Re w1, Im w1, Re w2, Im w2) with density
@@ -234,55 +277,54 @@ def reduction_check(t: float, d1: float, d2: float, phi, box: float = 7.0,
     mass outside must be below 1e-10.
 
     `phi(y1, y2)` must be a vectorized symmetric polynomial of total degree
-    at most 4 in the eigenvalues.
+    at most 4 in the eigenvalues; the check returns its ReductionReport.
+    `phi` may also be a sequence of such observables: they share one set of
+    draws, each chunk evaluating them one after another, and the check
+    returns a tuple with one report per observable, each equal to the report
+    of a single-observable call on the same rng.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if d1 == d2:
         raise ValueError("the reduction formula requires d1 != d2")
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
+    _check_budget(draws, chunk)
     outside = 6.0 * erfc(box / math.sqrt(2.0))
     if outside >= 1e-10:
         raise ValueError(f"truncation box {box} leaves Gaussian mass {outside:.2e} outside")
+    phis = (phi,) if callable(phi) else tuple(phi)
 
     gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
-    sd_xy = 1.0 / math.sqrt(t)
-    sd_w = 1.0 / math.sqrt(2.0 * t)
-    total = 0.0
-    total_sq = 0.0
+    totals = [0.0] * len(phis)
+    totals_sq = [0.0] * len(phis)
     kept = 0
     done = 0
     while done < draws:
         b = min(chunk, draws - done)
-        z = gen.standard_normal((b, 6))
-        keep = np.all(np.abs(z) <= box, axis=1)
-        z = z[keep]
-        x = d1 + sd_xy * z[:, 0]
-        y = d2 + sd_xy * z[:, 1]
-        w2 = sd_w**2 * np.sum(z[:, 2:] ** 2, axis=1)
-        half_gap = np.sqrt(0.25 * (x - y) ** 2 + w2)
-        mid = 0.5 * (x + y)
-        vals = phi(mid + half_gap, mid - half_gap)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals**2))
-        kept += len(vals)
+        y1, y2 = _box_eigenvalues(gen, b, box, t, d1, d2)
+        for k, f in enumerate(phis):
+            vals = f(y1, y2)
+            totals[k] += float(np.sum(vals))
+            totals_sq[k] += float(np.sum(vals**2))
+        kept += len(y1)
         done += b
     mass = 2.0 * math.pi**3 / t**3
-    mean = total / kept
-    var = max(total_sq / kept - mean**2, 0.0)
-    lhs = mass * mean
-    lhs_stderr = mass * math.sqrt(var / kept)
 
     nodes, weights = np.polynomial.hermite.hermgauss(24)
     scale = math.sqrt(2.0 / t)
-    y1 = d1 + scale * nodes[:, None]
-    y2 = d2 + scale * nodes[None, :]
-    gap = y1 - y2
-    integrand = phi(y1, y2) * (gap**2 - 2.0 * gap / (t * (d1 - d2))) / (d1 - d2) ** 2
-    rhs = (math.pi**2 / t**2) * scale**2 * float(
-        np.einsum("i,j,ij->", weights, weights, integrand))
+    q1 = d1 + scale * nodes[:, None]
+    q2 = d2 + scale * nodes[None, :]
+    gap = q1 - q2
+    jacobian = gap**2 - 2.0 * gap / (t * (d1 - d2))
 
-    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    stderr_ok = lhs_stderr <= 0.005 * abs(lhs) if lhs != 0 else True
-    return ReductionReport(lhs, lhs_stderr, rhs, rel, stderr_ok)
+    reports = []
+    for f, total, total_sq in zip(phis, totals, totals_sq):
+        mean = total / kept
+        var = max(total_sq / kept - mean**2, 0.0)
+        lhs = mass * mean
+        lhs_stderr = mass * math.sqrt(var / kept)
+        rhs = (math.pi**2 / t**2) * scale**2 * float(
+            np.einsum("i,j,ij->", weights, weights, f(q1, q2) * jacobian / (d1 - d2) ** 2))
+        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+        stderr_ok = lhs_stderr <= 0.005 * abs(lhs) if lhs != 0 else True
+        reports.append(ReductionReport(lhs, lhs_stderr, rhs, rel, stderr_ok))
+    return reports[0] if callable(phi) else tuple(reports)

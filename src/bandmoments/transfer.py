@@ -101,9 +101,9 @@ class TransferKernel:
     site: np.ndarray          # w(a,b) * quadrature weights, complex (Ga, Gb)
     inv_d2: np.ndarray
     inv_d3: np.ndarray
-    left: np.ndarray          # [Ua | Ub], (G, r)
-    right: np.ndarray         # [Ua^T ; Vb], (r, G)
-    rank_a: int               # columns of Ua
+    left: np.ndarray | None   # [Ua | Ub], (G, r); None at N=1, which has no bond
+    right: np.ndarray | None  # [Ua^T ; Vb], (r, G); None at N=1
+    rank_a: int               # columns of Ua; 0 at N=1
     log_prefactor_magnitude: float   # the prefactor itself is -exp(this)
 
 
@@ -183,7 +183,7 @@ def build_kernel(params: LatticeParams, lambda0: float, xi: float,
     grid = _build_grid(params, lambda0, refine)
     w2 = params.W**2
     a, b = grid.nodes_a, grid.nodes_b
-    left, right, rank_a = _coupling_factors(w2, a, b)
+    left, right, rank_a = (None, None, 0) if params.N == 1 else _coupling_factors(w2, a, b)
     d = a[:, None] - b[None, :]
     lap = neumann_laplacian(params.N)
     profile_op = TridiagonalOperator(-w2 * lap.diagonal, -w2 * lap.offdiagonal)

@@ -183,6 +183,14 @@ class TestVerifyCommands:
         code = main(["verify-reduction", "--draws", "200000", "--out", str(out)])
         assert code == 0
 
+    def test_reduction_row_ids_keep_their_order(self, tmp_path):
+        out = tmp_path / "ro"
+        main(["verify-reduction", "--draws", "20000", "--out", str(out)])
+        ids = [line.split(",")[0] for line in _read(out / "verify.csv").splitlines()[1:]]
+        assert ids == [f"reduction_t{si}_{name}{suffix}" for si in range(3)
+                       for name in ("one", "trace", "gap_sq")
+                       for suffix in ("", "_stderr_ok")]
+
     def test_chain_suite(self, tmp_path):
         out = tmp_path / "c"
         code = main(["verify-chain", "--tail-draws", "20000", "--out", str(out)])

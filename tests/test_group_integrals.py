@@ -165,6 +165,27 @@ class TestCosetSamplers:
                                    atol=1e-14)
 
 
+    def test_sp2_entries_equal_block_product(self):
+        # P = V_blk U_blk with the blocks rebuilt from the sampler's uniforms
+        p = sample_sp2(1_000, RngStream(35))
+        gen = RngStream(35).generator()
+        s_u = gen.uniform(0.0, 1.0, 1_000)
+        e = np.sqrt(s_u) * np.exp(1j * gen.uniform(-np.pi, np.pi, 1_000))
+        s_v = _sp2_weight_inverse_cdf(gen.uniform(0.0, 1.0, 1_000))
+        ph = np.exp(1j * gen.uniform(-np.pi, np.pi, 1_000))
+        v = np.zeros((1_000, 4, 4), dtype=complex)
+        v[:, 0, 0] = v[:, 1, 1] = np.sqrt(1.0 - s_v)
+        v[:, 0, 1] = np.sqrt(s_v) * ph
+        v[:, 1, 0] = -np.sqrt(s_v) / ph
+        v[:, 2:, 2:] = v[:, :2, :2].conj()
+        sigma = np.array([[0.0, 1.0], [1.0, 0.0]])
+        u = np.zeros((1_000, 4, 4), dtype=complex)
+        u[:, :2, :2] = u[:, 2:, 2:] = np.sqrt(1.0 - s_u)[:, None, None] * np.eye(2)
+        u[:, :2, 2:] = e[:, None, None] * sigma
+        u[:, 2:, :2] = -e.conj()[:, None, None] * sigma
+        np.testing.assert_allclose(p, v @ u, rtol=0.0, atol=1e-15)
+
+
 class TestOneSampler:
     """Each Monte Carlo mean is the integrand averaged over its group's sampler."""
 
@@ -210,6 +231,31 @@ class TestReductionCheck:
         assert rep.rhs == pytest.approx(mass * ((1.5 - 0.5) ** 2 + 10.0), rel=1e-12)
         assert abs(rep.lhs - rep.rhs) <= 3.0 * rep.lhs_stderr
 
+    def test_observables_share_draws(self):
+        phis = (lambda y1, y2: np.ones_like(y1), lambda y1, y2: y1 + y2,
+                lambda y1, y2: (y1 - y2) ** 2)
+        # chunk 70_000 leaves a short last chunk
+        reports = reduction_check(0.8, 2.0, 0.6, phis, draws=300_000,
+                                  rng=RngStream(43), chunk=70_000)
+        assert len(reports) == len(phis)
+        for phi, rep in zip(phis, reports):
+            assert rep == reduction_check(0.8, 2.0, 0.6, phi, draws=300_000,
+                                          rng=RngStream(43), chunk=70_000)
+
+    def test_rows_outside_the_box_are_dropped(self):
+        class Planted:
+            def standard_normal(self, shape):
+                z = np.tile(np.linspace(-1.0, 1.0, shape[0])[:, None], (1, 6))
+                z[1, 3] = -7.5
+                z[3, 5] = 7.5
+                return z
+
+        rep = reduction_check(2.0, 1.0, -0.3, lambda y1, y2: y1 + y2, draws=5,
+                              rng=Planted())
+        kept = np.linspace(-1.0, 1.0, 5)[[0, 2, 4]]
+        trace = 1.0 - 0.3 + 2.0 * kept / math.sqrt(2.0)
+        assert rep.lhs == pytest.approx(2.0 * math.pi**3 / 8.0 * trace.mean(), rel=1e-14)
+
     def test_rejects_degenerate_d(self):
         with pytest.raises(ValueError):
             reduction_check(1.0, 0.5, 0.5, lambda y1, y2: y1)
@@ -233,3 +279,15 @@ class TestReductionCheck:
 def test_monte_carlo_rejects_empty_draw_budget(run, draws):
     with pytest.raises(ValueError, match="draws"):
         run(draws)
+
+
+@pytest.mark.parametrize("run", [
+    lambda chunk: mc_hciz_u2(ANCHOR, 10, RngStream(0), chunk=chunk),
+    lambda chunk: mc_hciz_sp2(ANCHOR, 10, RngStream(0), chunk=chunk),
+    lambda chunk: reduction_check(1.0, 1.0, -1.0, lambda y1, y2: y1, draws=10, chunk=chunk),
+    lambda chunk: tail_probability(8, 2.0, 1.0, 0.5, 10, RngStream(0), chunk=chunk),
+], ids=["mc_hciz_u2", "mc_hciz_sp2", "reduction_check", "tail_probability"])
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_monte_carlo_rejects_empty_chunk(run, chunk):
+    with pytest.raises(ValueError, match="chunk"):
+        run(chunk)

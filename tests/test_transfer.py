@@ -40,6 +40,12 @@ class TestSingleSiteAnchor:
         assert result.imag_ratio < 1e-6
 
 
+    def test_single_site_kernel_carries_no_factors(self):
+        # N=1 applies no bond, so build_kernel skips the coupling factors
+        k = build_kernel(LatticeParams(0, 4.0), 1.0, 0.0)
+        assert (k.left, k.right, k.rank_a) == (None, None, 0)
+
+
 class TestKernelStructure:
     def test_gaussian_couplings_symmetric(self):
         k = build_kernel(LatticeParams(1, 2.0), 0.3, 0.1)
