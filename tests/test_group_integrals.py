@@ -164,7 +164,6 @@ class TestCosetSamplers:
         np.testing.assert_allclose(np.abs(p[:, 1, 1]) ** 2, (1.0 - s_u) * (1.0 - s_v),
                                    atol=1e-14)
 
-
     def test_sp2_entries_equal_block_product(self):
         # P = V_blk U_blk with the blocks rebuilt from the sampler's uniforms
         p = sample_sp2(1_000, RngStream(35))

@@ -39,7 +39,6 @@ class TestSingleSiteAnchor:
         assert result.f2 == pytest.approx(lam**2 + 2.0, rel=1e-6)
         assert result.imag_ratio < 1e-6
 
-
     def test_single_site_kernel_carries_no_factors(self):
         # N=1 applies no bond, so build_kernel skips the coupling factors
         k = build_kernel(LatticeParams(0, 4.0), 1.0, 0.0)
