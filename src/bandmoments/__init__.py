@@ -13,7 +13,7 @@ from .lattice import (LatticeParams, SingularSystemError, TridiagonalOperator,
                       neumann_laplacian, tridiagonal_logdet, tridiagonal_solve,
                       variance_profile)
 from .moments import (MomentEstimate, ScanConfig, ScanRow, SignedAccumulator,
-                      estimate_f2, estimate_ratio, scaled_energies)
+                      estimate_f2, estimate_ratio, f2_goe_exact, scaled_energies)
 from .spectral import (NcmHistogram, eigenvalues, ncm, semicircle_distance,
                        signed_logdet)
 from .transfer import (CrossValidation, Grid2D, GridOffsetError,

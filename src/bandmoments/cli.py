@@ -167,7 +167,8 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, summary: dict,
         "config": {k: cfg[k] for k in sorted(cfg)},
         "summary": summary,
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    # allow_nan=False: a NaN would make the file invalid JSON, so fail instead
+    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
 
 
 def _write_verify(outdir: Path, command: str, cfg: dict, rows: list[CheckRow]) -> int:
@@ -239,15 +240,22 @@ def _scan_config(cfg: dict) -> ScanConfig:
 
 def cmd_scan_f2(cfg: dict) -> int:
     outdir = _outdir(cfg)
-    rows = estimate_ratio(_scan_config(cfg))
+    config = _scan_config(cfg)
+    rows = estimate_ratio(config)
     _write_csv(outdir / "scan_f2.csv", _SCAN_SCHEMA,
                [(r.xi1, r.xi2, r.ratio, r.stderr, r.ds_ref, r.flag) for r in rows])
-    dev = max((abs(r.ratio - r.ds_ref) for r in rows if r.flag == "ok"),
-              default=math.nan)
-    pinned = None if _openblas_threads() is None else _SCAN_BLAS_THREADS
-    _write_manifest(outdir, "scan-f2", cfg, {"max_abs_deviation": dev},
-                    scan_blas_threads=pinned)
-    print(f"max |ratio - DS| = {dev:.6f}")
+    # diagonal rows are exactly 1 = DS(0) by construction and say nothing
+    devs = [abs(r.ratio - r.ds_ref) for r in rows if r.flag == "ok" and r.xi1 != r.xi2]
+    dev = max(devs, default=None)
+    environment = {"sample_source": config.sample_source}
+    if config.sample_source == "dense":
+        environment["scan_blas_threads"] = (None if _openblas_threads() is None
+                                            else _SCAN_BLAS_THREADS)
+    _write_manifest(outdir, "scan-f2", cfg,
+                    {"max_abs_deviation": dev, "ok_off_diagonal_rows": len(devs)},
+                    **environment)
+    shown = "n/a" if dev is None else f"{dev:.6f}"
+    print(f"max |ratio - DS| = {shown} over {len(devs)} ok off-diagonal rows")
     return 0
 
 

@@ -1,13 +1,19 @@
-"""Sampling of real-symmetric Gaussian band matrices and the GOE reference."""
+"""Sampling of real-symmetric Gaussian band matrices and the GOE reference.
+
+Dense draws (`sample_symmetric`) serve every variance profile.  The GOE also
+has the Dumitriu-Edelman tridiagonal model (`sample_goe_tridiagonal`), whose
+O(N) entries per sample carry exactly the GOE's eigenvalue law.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["RngStream", "as_generator", "goe_profile",
-           "sample_symmetric", "sample_band", "sample_goe"]
+           "sample_symmetric", "sample_band", "sample_goe", "sample_goe_tridiagonal"]
 
 
 @dataclass(frozen=True)
@@ -66,3 +72,21 @@ def sample_band(profile: np.ndarray, rng) -> np.ndarray:
 def sample_goe(N: int, rng) -> np.ndarray:
     """GOE reference: flat profile J_ij = 1/N (same sampling rule as the band)."""
     return sample_symmetric(goe_profile(N), 1, rng)[0]
+
+
+def sample_goe_tridiagonal(N: int, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """(count, N) diagonals and (count, N - 1) squared off-diagonals of GOE draws.
+
+    Dumitriu-Edelman model (Dumitriu & Edelman, "Matrix models for beta
+    ensembles", math-ph/0206043) at beta = 1: a_k ~ N(0, 2/N) and
+    b_k^2 ~ chi^2_{N-1-k} / N for k = 0..N-2, all independent.  The
+    tridiagonal matrix with these entries has exactly the eigenvalue law of
+    sample_goe's dense draws, so det(lam - H) has the same law too.  The
+    diagonals are drawn first, then the squared off-diagonals.
+    """
+    if N < 1:
+        raise ValueError(f"matrix size must be positive, got {N}")
+    gen = as_generator(rng)
+    diag = gen.standard_normal((count, N)) * math.sqrt(2.0 / N)
+    offdiag_sq = gen.chisquare(np.arange(N - 1, 0, -1), size=(count, N - 1)) / N
+    return diag, offdiag_sq

@@ -4,8 +4,11 @@ Per-sample contributions det(l1 - H) det(l2 - H) span thousands of orders of
 magnitude, so everything is accumulated in signed log-sum-exp pools: each
 keeps a positive sum and a negative sum with a running-max shift, plus a sum
 of squares for the standard error, and one array holds every pool of a scan.
-The normalized ratio D2^{-1} F2 is computed from
-common random numbers (one spectrum per sample serves every scan point) and
+A scan draws its signed log-determinants from one sample source per
+ensemble: band scans eigensolve dense draws (one spectrum per sample), GOE
+scans run the pivot recurrence of the Dumitriu-Edelman tridiagonal model
+(O(N) per sample and energy).  The normalized ratio D2^{-1} F2 is computed
+from common random numbers (one draw per sample serves every scan point) and
 its uncertainty comes from the delta method on the three correlated means;
 the delta variance is evaluated in the raw-moment form
 
@@ -13,6 +16,8 @@ the delta variance is evaluated in the raw-moment form
 
 expanded into six second-moment pools, which keeps the centering terms from
 cancelling catastrophically and is exactly zero on diagonal points.
+`f2_goe_exact` gives the exact GOE value the GOE estimates are checked
+against.
 """
 
 from __future__ import annotations
@@ -24,13 +29,14 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .ensemble import RngStream, goe_profile, sample_symmetric
+from .ensemble import RngStream, sample_goe_tridiagonal, sample_symmetric
 from .kernels import ds_kernel, rho
 from .lattice import LatticeParams, variance_profile
-from .spectral import signed_logdets
+from .spectral import signed_logdets, tridiagonal_signed_logdets
 
 __all__ = [
     "SignedAccumulator",
@@ -40,10 +46,11 @@ __all__ = [
     "scaled_energies",
     "estimate_f2",
     "estimate_ratio",
+    "f2_goe_exact",
 ]
 
-# Matrix entries sampled and eigensolved per batch (one N=256 matrix); larger
-# batches only raise peak memory.
+# Matrix entries sampled per batch (one dense N=256 matrix, or 256
+# tridiagonal N=256 samples); larger batches only raise peak memory.
 _CHUNK_ENTRIES = 2**16
 
 # |mean| below 10x its standard error counts as an unresolved sign.
@@ -204,6 +211,12 @@ class ScanConfig:
     def N(self) -> int:
         return self.lattice.N if self.lattice is not None else self.goe_size
 
+    @property
+    def sample_source(self) -> str:
+        """The draws behind the scan: "dense" band matrices, eigensolved, or
+        "dumitriu-edelman" tridiagonal GOE matrices."""
+        return "dense" if self.lattice is not None else "dumitriu-edelman"
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -219,7 +232,9 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class _WorkerSpec:
-    profile: np.ndarray           # variance profile J of the ensemble
+    # (generator, count, lambdas) -> (logs, signs), each (count, len(lambdas));
+    # picklable, so pool workers receive it with the spec
+    source: Callable[[np.random.Generator, int, np.ndarray], tuple[np.ndarray, np.ndarray]]
     lambdas: np.ndarray
     pairs: np.ndarray             # (rows, 2) indices into lambdas
     master_seed: int
@@ -264,22 +279,39 @@ def _one_blas_thread():
         put(before)
 
 
+def _in_batches(count: int, step: int, batch) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated (logs, signs) of batch(size) over batches of at most step samples."""
+    parts = [batch(min(step, count - done)) for done in range(0, count, step)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _dense_source(profile: np.ndarray, gen: np.random.Generator, count: int,
+                  lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed log-dets of dense draws with variance profile J, one eigvalsh per batch."""
+    def batch(size):
+        return signed_logdets(np.linalg.eigvalsh(sample_symmetric(profile, size, gen)), lambdas)
+
+    n = len(profile)
+    with _one_blas_thread():
+        return _in_batches(count, max(_CHUNK_ENTRIES // (n * n), 1), batch)
+
+
+def _tridiagonal_source(N: int, gen: np.random.Generator, count: int,
+                        lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed log-dets of Dumitriu-Edelman GOE draws of size N, by the pivot recurrence."""
+    def batch(size):
+        return tridiagonal_signed_logdets(*sample_goe_tridiagonal(N, size, gen), lambdas)
+
+    return _in_batches(count, max(_CHUNK_ENTRIES // N, 1), batch)
+
+
 def _scan_stream(args: tuple[_WorkerSpec, int, int]) -> SignedAccumulator:
     """One substream's pools, shape (6, rows): per scan row with energies
     (l1, l2), A = det1 det2, B = det1^2, C = det2^2 and the products AB, AC, BC.
     """
     spec, stream_index, count = args
     gen = RngStream(spec.master_seed, stream_index).generator()
-    n = len(spec.profile)
-    step = max(_CHUNK_ENTRIES // (n * n), 1)
-    logd, signs = [], []
-    with _one_blas_thread():
-        for done in range(0, count, step):
-            h = sample_symmetric(spec.profile, min(step, count - done), gen)
-            ld, sg = signed_logdets(np.linalg.eigvalsh(h), spec.lambdas)
-            logd.append(ld)
-            signs.append(sg)
-    logd, signs = np.concatenate(logd), np.concatenate(signs)
+    logd, signs = spec.source(gen, count, spec.lambdas)
     i1, i2 = spec.pairs[:, 0], spec.pairs[:, 1]
     la, lb, lc = logd[:, i1] + logd[:, i2], 2.0 * logd[:, i1], 2.0 * logd[:, i2]
     sa = signs[:, i1] * signs[:, i2]
@@ -298,10 +330,10 @@ def _stream_counts(total: int, streams: int) -> list[int]:
 def _run_scan(config: ScanConfig, lambdas: tuple[float, ...],
               pairs: tuple[tuple[int, int], ...]) -> SignedAccumulator:
     if config.lattice is not None:
-        profile = variance_profile(config.lattice)
+        source = functools.partial(_dense_source, variance_profile(config.lattice))
     else:
-        profile = goe_profile(config.goe_size)
-    spec = _WorkerSpec(profile, np.asarray(lambdas),
+        source = functools.partial(_tridiagonal_source, config.goe_size)
+    spec = _WorkerSpec(source, np.asarray(lambdas),
                        np.asarray(pairs, dtype=int).reshape(-1, 2), config.master_seed)
     counts = _stream_counts(config.num_samples, config.num_streams)
     tasks = [(spec, i, c) for i, c in enumerate(counts) if c > 0]
@@ -325,6 +357,39 @@ def estimate_f2(config: ScanConfig, lambda1: float, lambda2: float) -> MomentEst
     else:
         lambdas, pairs = (lambda1, lambda2), ((0, 1),)
     return _run_scan(config, lambdas, pairs)[0, 0].estimate()
+
+
+def f2_goe_exact(l1: float, l2: float, N: int) -> tuple[int, float]:
+    """(sign, log|F2|) of the exact GOE moment F2 = E[det(l1 - H) det(l2 - H)].
+
+    In the Dumitriu-Edelman model (see ensemble.sample_goe_tridiagonal) the
+    leading minors obey p_k = (l - a_k) p_{k-1} - b_{k-1}^2 p_{k-2}, with
+    (a_k, b_{k-1}^2) independent of everything before step k.  The moments
+    s_k = E[p_k p'_k, p_k p'_{k-1}, p_{k-1} p'_k, p_{k-1} p'_{k-1}] (p at l1,
+    p' at l2) therefore obey s_k = M_k s_{k-1}, a 4x4 step that needs only
+    E[a^2] = 2/N, E[b^2] = d/N and E[b^4] = d(d + 2)/N^2 for b^2 ~ chi^2_d / N.
+    Each step rescales the state by a power of two (exact) and keeps the
+    exponent apart, so the recurrence does not overflow at any N.
+    """
+    if N < 1:
+        raise ValueError(f"matrix size must be positive, got {N}")
+    state = np.array([1.0, 0.0, 0.0, 0.0])       # p_0 = 1, p_{-1} = 0
+    exponent = 0
+    for k in range(N):
+        dof = N - k           # b_{k-1}^2 ~ chi^2_{N-k} / N; unused at k = 0
+        eb2, eb4 = dof / N, dof * (dof + 2) / N**2
+        step = np.array([[l1 * l2 + 2.0 / N, -l1 * eb2, -l2 * eb2, eb4],
+                         [l1, 0.0, -eb2, 0.0],
+                         [l2, -eb2, 0.0, 0.0],
+                         [1.0, 0.0, 0.0, 0.0]])
+        state = step @ state
+        _, e = math.frexp(float(np.max(np.abs(state))))
+        state = np.ldexp(state, -e)
+        exponent += e
+    f2 = float(state[0])
+    if f2 == 0.0:
+        return 0, -math.inf
+    return (1 if f2 > 0.0 else -1), math.log(abs(f2)) + exponent * math.log(2.0)
 
 
 def _signed_sum(terms: list[tuple[float, float]]) -> float:

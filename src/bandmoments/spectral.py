@@ -1,7 +1,14 @@
-"""Spectra, signed log-determinants, and the empirical law vs the semicircle."""
+"""Spectra, signed log-determinants, and the empirical law vs the semicircle.
+
+Signed logs of det(lam - H) come from a spectrum (`signed_logdets`, one
+eigensolve per matrix) or, for a symmetric tridiagonal H, straight from its
+entries (`tridiagonal_signed_logdets`, O(N) per matrix and energy).  Both
+return the same (logs, int8 signs) pair.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +20,7 @@ __all__ = [
     "eigenvalues",
     "signed_logdet",
     "signed_logdets",
+    "tridiagonal_signed_logdets",
     "ncm",
     "semicircle_distance",
 ]
@@ -48,6 +56,64 @@ def signed_logdets(eigs: np.ndarray, lambdas) -> tuple[np.ndarray, np.ndarray]:
     signs = (1 - 2 * (np.sum(diffs < 0.0, axis=2) % 2)).astype(np.int8)
     signs[logd == -np.inf] = 0  # only an exact hit gives log 0 = -inf
     return logd, signs
+
+
+def tridiagonal_signed_logdets(diag, offdiag_sq, lambdas) -> tuple[np.ndarray, np.ndarray]:
+    """Signed logs of det(lam - T) for a batch of symmetric tridiagonal T and each lam.
+
+    diag is (batch, N), offdiag_sq (batch, N - 1) the squared off-diagonal
+    entries b_k^2.  The LU pivots of lam - T obey
+    d_0 = lam - a_0, d_k = (lam - a_k) - b_{k-1}^2 / d_{k-1}; the log-magnitude
+    is the sum of log|d_k| and the sign is (-1)^(number of negative pivots).
+    The contract is that of signed_logdets: (batch, len(lambdas)) logs and
+    int8 signs, with sign 0 and log -inf only for an exactly zero determinant.
+
+    A pivot of exactly zero (or one so small that the next overflows) makes
+    the next pivot infinite; those entries are evaluated again by
+    _three_term_logdets, which does not divide.
+    """
+    diag = np.asarray(diag, dtype=float)
+    offdiag_sq = np.asarray(offdiag_sq, dtype=float)
+    lambdas = np.asarray(lambdas, dtype=float)
+    if diag.ndim != 2 or offdiag_sq.shape != (len(diag), max(diag.shape[1] - 1, 0)):
+        raise ValueError(f"expected (batch, N) and (batch, N - 1) arrays, "
+                         f"got {diag.shape} and {offdiag_sq.shape}")
+    if not all(np.all(np.isfinite(x)) for x in (diag, offdiag_sq, lambdas)):
+        raise ValueError("tridiagonal entries and energies must be finite")
+    # pivots[k] holds d_k of every (sample, energy); b2[k] broadcasts over energies
+    pivots = lambdas[None, None, :] - diag.T[:, :, None]
+    b2 = offdiag_sq.T[:, :, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(1, len(pivots)):
+            pivots[k] -= b2[k - 1] / pivots[k - 1]
+        logd = np.sum(np.log(np.abs(pivots)), axis=0)
+    signs = (1 - 2 * (np.count_nonzero(pivots < 0.0, axis=0) % 2)).astype(np.int8)
+    bad = ~(logd < math.inf)  # an infinite pivot gives +inf or NaN
+    if np.any(bad):
+        samples, energies = np.nonzero(bad)
+        logd[bad], signs[bad] = _three_term_logdets(
+            lambdas[energies, None] - diag[samples], offdiag_sq[samples])
+    signs[logd == -math.inf] = 0
+    return logd, signs
+
+
+def _three_term_logdets(shifted, offdiag_sq) -> tuple[np.ndarray, np.ndarray]:
+    """Signed logs of the determinants p_N from p_k = c_k p_{k-1} - b_{k-1}^2 p_{k-2}.
+
+    shifted holds the rows c = lam - a, (m, N).  (p_{k-1}, p_k) is scaled by
+    a power of two after every step, which is exact, and the exponents are
+    summed apart, so zero pivots and wide magnitudes need no special case.
+    """
+    prev, cur = np.ones(len(shifted)), shifted[:, 0].copy()
+    exponent = np.zeros(len(shifted), dtype=np.int64)
+    for k in range(1, shifted.shape[1]):
+        prev, cur = cur, shifted[:, k] * cur - offdiag_sq[:, k - 1] * prev
+        _, e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
+        prev, cur = np.ldexp(prev, -e), np.ldexp(cur, -e)
+        exponent += e
+    with np.errstate(divide="ignore"):
+        logd = np.log(np.abs(cur)) + exponent * math.log(2.0)
+    return logd, np.sign(cur).astype(np.int8)
 
 
 def signed_logdet(eigs: np.ndarray, lam: float) -> tuple[int, float]:

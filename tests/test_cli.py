@@ -146,6 +146,24 @@ class TestScanCommand:
         main(self.ARGS + ["--seed", "3", "--out", str(out2)])
         assert _read(out1 / "scan_f2.csv") == _read(out2 / "scan_f2.csv")
 
+    def test_summary_skips_diagonal_rows(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"manifest holds {constant}")
+
+        out = tmp_path / "d"
+        assert main(self.ARGS[:-1] + ["0", "--out", str(out)]) == 0
+        summary = json.loads(_read(out / "manifest.json"), parse_constant=reject)["summary"]
+        assert summary == {"max_abs_deviation": None, "ok_off_diagonal_rows": 0}
+        out = tmp_path / "o"
+        assert main(["scan-f2", "--size", "2", "--samples", "4000", "--xi-diffs", "0,0.5",
+                     "--out", str(out)]) == 0
+        rows = _read(out / "scan_f2.csv").splitlines()[1:]
+        assert [r.split(",")[-1] for r in rows] == ["ok", "ok"]
+        _, _, ratio, _, ds_ref, _ = rows[1].split(",")
+        summary = json.loads(_read(out / "manifest.json"), parse_constant=reject)["summary"]
+        assert summary == {"max_abs_deviation": abs(float(ratio) - float(ds_ref)),
+                           "ok_off_diagonal_rows": 1}
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         main(self.ARGS + ["--seed", "3", "--out", str(out1)])
@@ -227,11 +245,18 @@ class TestManifest:
                      "--out", str(tmp_path / "s")]) == 0
         manifest = json.loads(_read(tmp_path / "s" / "manifest.json"))
         assert manifest["environment"] == expected
+        # the dense band source eigensolves on one pinned BLAS thread; the
+        # GOE's tridiagonal source runs no BLAS call
+        assert main(["scan-f2", "--ensemble", "band", "--half-width", "3", "--bandwidth", "2",
+                     "--samples", "40", "--xi-diffs", "0,1", "--out", str(tmp_path / "b")]) == 0
+        manifest = json.loads(_read(tmp_path / "b" / "manifest.json"))
+        assert manifest["environment"] == {
+            **expected, "sample_source": "dense",
+            "scan_blas_threads": None if threads is None else 1}
         assert main(["scan-f2", "--size", "8", "--samples", "40", "--xi-diffs", "0,1",
                      "--out", str(tmp_path / "f")]) == 0
         manifest = json.loads(_read(tmp_path / "f" / "manifest.json"))
-        assert manifest["environment"] == {
-            **expected, "scan_blas_threads": None if threads is None else 1}
+        assert manifest["environment"] == {**expected, "sample_source": "dumitriu-edelman"}
 
 
 class TestCheckRow:

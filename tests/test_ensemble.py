@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bandmoments.ensemble import (RngStream, sample_band, sample_goe,
-                                  sample_symmetric)
+                                  sample_goe_tridiagonal, sample_symmetric)
 from bandmoments.lattice import LatticeParams, variance_profile
 
 
@@ -77,3 +77,38 @@ class TestSampleGoe:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sample_goe(0, RngStream(0))
+
+
+class TestSampleGoeTridiagonal:
+    def test_shapes_and_single_site(self):
+        diag, offdiag_sq = sample_goe_tridiagonal(1, 5, RngStream(6))
+        assert diag.shape == (5, 1) and offdiag_sq.shape == (5, 0)
+        with pytest.raises(ValueError):
+            sample_goe_tridiagonal(0, 5, RngStream(6))
+
+    def test_entry_moments(self):
+        # a_k ~ N(0, 2/N), b_k^2 ~ chi^2_{N-1-k} / N: mean (N-1-k)/N, var 2(N-1-k)/N^2
+        N, m = 6, 40_000
+        diag, offdiag_sq = sample_goe_tridiagonal(N, m, RngStream(7))
+        z_var = (np.var(diag, axis=0) - 2.0 / N) / (np.sqrt(2.0 / m) * 2.0 / N)
+        dof = np.arange(N - 1, 0, -1)
+        z_mean = (offdiag_sq.mean(axis=0) - dof / N) / (np.sqrt(2.0 * dof / m) / N)
+        assert np.max(np.abs(z_var)) < 5.0
+        assert np.max(np.abs(z_mean)) < 5.0
+
+    def test_spectral_moments_match_dense_goe(self):
+        # same eigenvalue law: tr H^2 and tr H^4 agree with dense GOE draws
+        N, m = 5, 20_000
+        diag, offdiag_sq = sample_goe_tridiagonal(N, m, RngStream(8))
+        off = np.sqrt(offdiag_sq)
+        tri = np.zeros((m, N, N))
+        idx = np.arange(N)
+        tri[:, idx, idx] = diag
+        tri[:, idx[:-1], idx[1:]] = off
+        tri[:, idx[1:], idx[:-1]] = off
+        dense = sample_symmetric(np.full((N, N), 1.0 / N), m, RngStream(9).generator())
+        for power in (2, 4):
+            a = np.trace(np.linalg.matrix_power(tri, power), axis1=1, axis2=2)
+            b = np.trace(np.linalg.matrix_power(dense, power), axis1=1, axis2=2)
+            se = np.hypot(np.std(a), np.std(b)) / np.sqrt(m)
+            assert abs(a.mean() - b.mean()) < 5.0 * se

@@ -1,6 +1,8 @@
 """Moment estimation: accumulators, closed-form anchors, ratio scans."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from bandmoments import moments
 from bandmoments.kernels import ds_kernel, rho
 from bandmoments.lattice import LatticeParams
 from bandmoments.moments import (ScanConfig, SignedAccumulator, estimate_f2,
-                                 estimate_ratio, scaled_energies)
+                                 estimate_ratio, f2_goe_exact, scaled_energies)
 
 RNG = np.random.default_rng(2)
 
@@ -184,6 +186,70 @@ class TestEstimateF2:
         assert stderr < 0.05 * abs(oracle)
 
 
+def _goe_two_by_two(l1, l2):
+    """Gauss-Hermite F2 for the GOE at N = 2: H = [[a, c], [c, b]], Var a = Var b = 1."""
+    return _hermgauss_expect(
+        lambda a, b, c: ((l1 - a) * (l1 - b) - c**2) * ((l2 - a) * (l2 - b) - c**2),
+        sigmas=(1.0, 1.0, math.sqrt(0.5)))
+
+
+def _benchmark_oracles():
+    """The benchmark's independent GOE recurrence, or None outside a source checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    if not path.is_file():
+        return None
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestF2GoeExact:
+    ARGS = [(0.0, 0.0), (0.3, -0.7), (1.0, 1.0), (-1.7, 1.9)]
+
+    @pytest.mark.parametrize("l1,l2", ARGS)
+    def test_single_site_closed_form(self, l1, l2):
+        sign, log_abs = f2_goe_exact(l1, l2, 1)
+        assert sign * math.exp(log_abs) == pytest.approx(l1 * l2 + 2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("l1,l2", ARGS)
+    def test_two_by_two_against_quadrature(self, l1, l2):
+        sign, log_abs = f2_goe_exact(l1, l2, 2)
+        assert sign * math.exp(log_abs) == pytest.approx(_goe_two_by_two(l1, l2), rel=1e-12)
+
+    @pytest.mark.parametrize("N", [3, 16, 256, 4096])
+    def test_matches_benchmark_oracle(self, N):
+        oracles = _benchmark_oracles()
+        if oracles is None:
+            pytest.skip("perfbench/oracles.py is not in this checkout")
+        for l1, l2 in self.ARGS[:3]:
+            sign, log_abs = f2_goe_exact(l1, l2, N)
+            ref_sign, ref_log = oracles.goe_log_f2(l1, l2, N)
+            assert sign == ref_sign
+            assert abs(math.expm1(log_abs - ref_log)) <= 1e-11
+
+    def test_stays_finite_at_large_n(self):
+        sign, log_abs = f2_goe_exact(0.1, 0.1, 4096)
+        assert sign == 1 and math.isfinite(log_abs)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            f2_goe_exact(0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("N", [4, 16])
+    @pytest.mark.parametrize("l1,l2", [(0.3, 0.2), (-0.5, -0.5)])
+    def test_dumitriu_edelman_estimate_agrees(self, N, l1, l2):
+        # the scan's GOE draws against the exact value; seed and budget fixed
+        config = ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=100_000,
+                            master_seed=20, goe_size=N)
+        est = estimate_f2(config, l1, l2)
+        sign, log_abs = f2_goe_exact(l1, l2, N)
+        exact = sign * math.exp(log_abs)
+        stderr = abs(est.value) * est.relative_stderr
+        assert abs(est.value - exact) < 4.0 * stderr
+        assert stderr < 0.2 * abs(exact)
+
+
 class TestEstimateRatio:
     def test_diagonal_point_is_exactly_one(self):
         config = ScanConfig(lambda0=0.0, xi_pairs=((0.7, 0.7),),
@@ -250,12 +316,27 @@ class TestEstimateRatio:
             assert (a.ratio, a.stderr) == (b.ratio, b.stderr)
 
     def test_worker_partition_deterministic_at_blas_size(self):
-        # N=256 eigensolves are large enough for OpenBLAS to split over threads.
+        # N=255 eigensolves of the dense band source are large enough for
+        # OpenBLAS to split over threads.
         configs = [ScanConfig(lambda0=0.0, xi_pairs=((0.5, -0.5),), num_samples=16,
-                              master_seed=3, goe_size=256, num_streams=4, workers=w)
+                              master_seed=3, lattice=LatticeParams(127, 64.0),
+                              num_streams=4, workers=w)
                    for w in (1, 2)]
         serial, parallel = (estimate_ratio(c)[0] for c in configs)
         assert (serial.ratio, serial.stderr) == (parallel.ratio, parallel.stderr)
+
+    def test_single_site_goe_scan(self):
+        # N=1 has no off-diagonal: F2 = l1 l2 + 2 from one Gaussian per sample
+        config = ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0), (0.5, -0.5)),
+                            num_samples=500, master_seed=4, goe_size=1)
+        diag, off = estimate_ratio(config)
+        assert (diag.ratio, diag.stderr) == (1.0, 0.0)
+        assert math.isfinite(off.ratio) and abs(off.ratio) <= 1.0 + 1e-12
+
+    def test_sample_source_follows_ensemble(self):
+        common = dict(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=4, master_seed=0)
+        assert ScanConfig(goe_size=4, **common).sample_source == "dumitriu-edelman"
+        assert ScanConfig(lattice=LatticeParams(1, 1.0), **common).sample_source == "dense"
 
     def test_scan_blas_runs_on_one_thread(self):
         threads = moments._openblas_threads()

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from bandmoments.ensemble import RngStream, sample_goe
+from bandmoments.ensemble import RngStream, sample_goe, sample_goe_tridiagonal
 from bandmoments.kernels import semicircle_cdf
 from bandmoments.spectral import (NcmHistogram, eigenvalues, ncm,
-                                  semicircle_distance, signed_logdet)
+                                  semicircle_distance, signed_logdet,
+                                  signed_logdets, tridiagonal_signed_logdets)
 
 RNG = np.random.default_rng(1)
 
@@ -53,6 +54,61 @@ class TestSignedLogdet:
             sign, log_magnitude = signed_logdet(eigs, lam)
             assert sign * np.exp(log_magnitude) == pytest.approx(
                 direct, rel=1e-8)
+
+
+def _dense_tridiagonal(diag, offdiag_sq):
+    off = np.sqrt(offdiag_sq)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+class TestTridiagonalSignedLogdets:
+    # planted (diag, offdiag_sq, lam) with exact zero pivots: d_0 = lam - a_0 = 0;
+    # d_1 = 0 in the middle of N = 3; d_1 = 0 as the last pivot of N = 2
+    PLANTED = [([0.5, -1.0, 2.0], [1.0, 4.0], 0.5),
+               ([-1.0, -1.0, 3.0], [1.0, 1.0], 0.0),
+               ([-1.0, -1.0], [1.0], 0.0)]
+
+    @pytest.mark.parametrize("diag,offdiag_sq,lam", PLANTED)
+    def test_zero_pivots_against_dense_slogdet(self, diag, offdiag_sq, lam):
+        logd, signs = tridiagonal_signed_logdets([diag], [offdiag_sq], [lam])
+        sign, log_abs = np.linalg.slogdet(
+            lam * np.eye(len(diag)) - _dense_tridiagonal(np.array(diag), np.array(offdiag_sq)))
+        assert signs.dtype == np.int8
+        assert int(signs[0, 0]) == sign
+        if sign == 0:
+            assert logd[0, 0] == -np.inf
+        else:
+            assert logd[0, 0] == pytest.approx(log_abs, abs=1e-14)
+
+    def test_zero_pivot_beside_regular_entries(self):
+        # only the entry with the zero pivot takes the other route
+        diag, offdiag_sq, _ = self.PLANTED[1]
+        logd, signs = tridiagonal_signed_logdets([diag, diag], [offdiag_sq, offdiag_sq],
+                                                 [0.0, 0.7])
+        for k, lam in enumerate((0.0, 0.7)):
+            sign, log_abs = np.linalg.slogdet(
+                lam * np.eye(3) - _dense_tridiagonal(np.array(diag), np.array(offdiag_sq)))
+            assert (int(signs[0, k]), int(signs[1, k])) == (sign, sign)
+            np.testing.assert_allclose(logd[:, k], log_abs, atol=1e-14)
+
+    @pytest.mark.parametrize("N", [1, 2, 256])
+    def test_matches_eigenvalue_route(self, N):
+        diag, offdiag_sq = sample_goe_tridiagonal(N, 40, RngStream(12).generator())
+        lambdas = np.linspace(-0.3, 0.3, 7)
+        logd, signs = tridiagonal_signed_logdets(diag, offdiag_sq, lambdas)
+        eigs = np.stack([eigenvalues(_dense_tridiagonal(d, b2))
+                         for d, b2 in zip(diag, offdiag_sq)])
+        ref_logd, ref_signs = signed_logdets(eigs, lambdas)
+        np.testing.assert_array_equal(signs, ref_signs)
+        np.testing.assert_allclose(logd, ref_logd, rtol=0, atol=1e-8)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            tridiagonal_signed_logdets(np.zeros((2, 3)), np.zeros((2, 3)), [0.0])
+        with pytest.raises(ValueError):
+            tridiagonal_signed_logdets(np.zeros(3), np.zeros(2), [0.0])
+        with pytest.raises(ValueError):
+            tridiagonal_signed_logdets(np.zeros((1, 2)), [[np.nan]], [0.0])
 
 
 class TestNcm:
