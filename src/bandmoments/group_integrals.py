@@ -1,7 +1,7 @@
 """Rank-2 HCIZ integrals over U(2) and Sp(2), their samplers, and checks.
 
-The two closed forms, with E1 = t(c1 d1 + c2 d2), E2 = t(c1 d2 + c2 d1) and
-tt = t(c1 - c2)(d1 - d2) = E1 - E2:
+With X = c1 d1 + c2 d2, Y = c1 d2 + c2 d1, E1 = t X, E2 = t Y and
+tt = t(X - Y) = t(c1 - c2)(d1 - d2) = E1 - E2, the two closed forms are
 
     U(2):   (e^E1 - e^E2) / tt
     Sp(2):  (6/tt^2) (e^E1 (1 - 2/tt) + e^E2 (1 + 2/tt))
@@ -9,14 +9,20 @@ tt = t(c1 - c2)(d1 - d2) = E1 - E2:
 Both degenerate gracefully: dividing out e^E1 leaves entire functions of tt,
 whose Taylor series supply the small-tt paths.  The coset parametrization
 takes s = |U_12|^2 uniform on [0, 1] under Haar, and the Sp(2) coset measure
-adds the exact probability weight 3(1 - 2 s_V)^2 on the V factor.
+adds the exact probability weight 3(1 - 2 s_V)^2 on the V factor.  As each
+|U_lk|^2 is s or 1 - s and each |P_lk|^2 is (s_U or 1 - s_U)(s_V or 1 - s_V),
+
+    Tr C U* D U = X - s (X - Y),   Tr G P* H P / 2 = X - q (X - Y),
+
+with q = s_U + s_V - 2 s_U s_V, and the Monte Carlo oracles average
+exp(E1 - tt s) and exp(E1 - tt q) over the samplers' coset parameters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 from scipy.special import erfc
@@ -40,8 +46,6 @@ __all__ = [
 # their rounding floor is ~12 eps / |tt|^3, so the crossover sits where that
 # floor is ~2e-11 and the series still converges in a few terms.
 TAYLOR_CUTOFF = 5e-2
-
-_SIGMA_HAT = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
 
 
 @dataclass(frozen=True)
@@ -110,22 +114,17 @@ def _coset_entries(s: np.ndarray,
 
 def _coset_matrices(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     cos_phi, u12, u21 = _coset_entries(s, alpha)
-    u = np.empty(s.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = cos_phi
-    u[..., 0, 1] = u12
-    u[..., 1, 0] = u21
-    u[..., 1, 1] = cos_phi
-    return u
+    return np.stack([np.stack([cos_phi, u12], -1), np.stack([u21, cos_phi], -1)], -2)
+
+
+def _coset_u2_params(count: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Haar draws of s = |U_12|^2, uniform on [0, 1], then of the phase alpha on [-pi, pi)."""
+    return gen.uniform(0.0, 1.0, count), gen.uniform(-np.pi, np.pi, count)
 
 
 def sample_coset_u2(count: int, rng) -> np.ndarray:
-    """(count, 2, 2) Haar draws on the U(2) coset.
-
-    s = |U_12|^2 is uniform on [0, 1] and the phase alpha uniform on
-    [-pi, pi); the count values of s are drawn first, then those of alpha.
-    """
-    gen = as_generator(rng)
-    return _coset_matrices(gen.uniform(0.0, 1.0, count), gen.uniform(-np.pi, np.pi, count))
+    """(count, 2, 2) Haar draws on the U(2) coset, built from _coset_u2_params."""
+    return _coset_matrices(*_coset_u2_params(count, as_generator(rng)))
 
 
 def _sp2_weight_inverse_cdf(p: np.ndarray) -> np.ndarray:
@@ -133,11 +132,17 @@ def _sp2_weight_inverse_cdf(p: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 - np.cbrt(1.0 - 2.0 * p))
 
 
+def _sp2_params(count: int, gen: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """(s_U, alpha, s_V, beta): a U(2) coset draw for U, then one for V with s_V by inverse CDF."""
+    s_u, alpha = _coset_u2_params(count, gen)
+    p_v, beta = _coset_u2_params(count, gen)
+    return s_u, alpha, _sp2_weight_inverse_cdf(p_v), beta
+
+
 def sample_sp2(count: int, rng) -> np.ndarray:
     """(count, 4, 4) draws of P = V U from dnu(P) = 3(1 - 2|V_12|^2)^2 dmu(U) dmu(V).
 
-    U and V are U(2) coset factors; the count values of s_U, alpha, s_V (by
-    inverse CDF of the weight) and beta are drawn in that order.  With
+    U and V are U(2) coset factors with the parameters of _sp2_params.  With
     cos phi = U_11 = sqrt(1 - s_U), e = U_12 = sqrt(s_U) e^{i alpha}, v the
     2x2 V factor and sigma = [[0, 1], [1, 0]], the 2x2 blocks of P are
 
@@ -148,11 +153,9 @@ def sample_sp2(count: int, rng) -> np.ndarray:
     swaps the columns of v).  The entries are stored entry-major, so the
     result is a transposed view of a (4, 4, count) array.
     """
-    gen = as_generator(rng)
-    cos_phi, e, _ = _coset_entries(gen.uniform(0.0, 1.0, count),
-                                   gen.uniform(-np.pi, np.pi, count))
-    cos_v, v12, v21 = _coset_entries(_sp2_weight_inverse_cdf(gen.uniform(0.0, 1.0, count)),
-                                     gen.uniform(-np.pi, np.pi, count))
+    s_u, alpha, s_v, beta = _sp2_params(count, as_generator(rng))
+    cos_phi, e, _ = _coset_entries(s_u, alpha)
+    cos_v, v12, v21 = _coset_entries(s_v, beta)
     minus_e_bar = -e.conj()
     p = np.empty((4, 4, count), dtype=complex)
     for (i, j), vij in (((0, 0), cos_v), ((0, 1), v12), ((1, 0), v21), ((1, 1), cos_v)):
@@ -164,19 +167,18 @@ def sample_sp2(count: int, rng) -> np.ndarray:
     return p.transpose(2, 0, 1)
 
 
-def symplectic_defect(p: np.ndarray) -> float:
-    """Max deviation from unitarity and from P sigma_hat P^t = sigma_hat over (..., 4, 4)."""
-    pt = np.swapaxes(p, -1, -2)
-    unitary = np.max(np.abs(p @ pt.conj() - np.eye(4)))
-    sympl = np.max(np.abs(p @ _SIGMA_HAT @ pt - _SIGMA_HAT))
-    return float(max(unitary, sympl))
+@cache
+def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    s, ws = 0.5 * (nodes + 1.0), 0.5 * weights
+    s.flags.writeable = ws.flags.writeable = False
+    return s, ws
 
 
 def u2_quadrature(p: HcizParams, n_s: int = 96, n_alpha: int = 16) -> complex:
     """Deterministic (s, alpha) quadrature of the U(2) integral, C = diag(c1, c2)."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_s)
-    s = 0.5 * (nodes + 1.0)
-    ws = 0.5 * weights
+    s, ws = _unit_gauss_legendre(n_s)
     alpha = -np.pi + 2.0 * np.pi * np.arange(n_alpha) / n_alpha
     u = _coset_matrices(s[:, None] * np.ones(n_alpha)[None, :],
                         np.broadcast_to(alpha, (n_s, n_alpha)))
@@ -195,39 +197,32 @@ def _check_budget(draws: int, chunk: int) -> None:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
 
 
-def _mc_mean(integrand, sampler, draws: int, rng, chunk: int) -> tuple[complex, float]:
-    """(mean, stderr) of integrand over draws of sampler, in batches of chunk."""
+def _mc_mean(integrand, draw_params, draws: int, rng, chunk: int) -> tuple[complex, float]:
+    """(mean, stderr) of integrand(*params) over draw_params(b, gen) batches of at most chunk."""
     _check_budget(draws, chunk)
     gen = as_generator(rng)
     total = 0.0 + 0.0j
     total_sq = 0.0
-    done = 0
-    while done < draws:
-        b = min(chunk, draws - done)
-        vals = integrand(sampler(b, gen))
+    for done in range(0, draws, chunk):
+        vals = integrand(*draw_params(min(chunk, draws - done), gen))
         total += np.sum(vals)
         total_sq += float(np.sum(np.abs(vals) ** 2))
-        done += b
     mean = total / draws
     var = max(total_sq / draws - abs(mean) ** 2, 0.0)
     return complex(mean), math.sqrt(var / draws)
 
 
 def mc_hciz_u2(p: HcizParams, draws: int, rng, chunk: int = 200_000) -> tuple[complex, float]:
-    """Monte Carlo over sample_coset_u2 draws; returns (mean, stderr)."""
-    c = np.array([p.c1, p.c2])
-    d = np.array([p.d1, p.d2])
-    return _mc_mean(lambda u: np.exp(p.t * np.einsum("k,l,blk->b", c, d, np.abs(u) ** 2)),
-                    sample_coset_u2, draws, rng, chunk)
+    """Monte Carlo of exp(E1 - tt s) over the draws of sample_coset_u2; returns (mean, stderr)."""
+    e1, _, tt = p.exponents()
+    return _mc_mean(lambda s, alpha: np.exp(e1 - tt * s), _coset_u2_params, draws, rng, chunk)
 
 
 def mc_hciz_sp2(p: HcizParams, draws: int, rng, chunk: int = 100_000) -> tuple[complex, float]:
-    """Monte Carlo of int exp(t Tr G P* H P / 2) dnu(P) over sample_sp2 draws."""
-    g = np.array([p.d1, p.d2, p.d1, p.d2])
-    h = np.array([p.c1, p.c2, p.c1, p.c2])
-    # Tr G P* H P = sum_{k,l} g_k h_l |P_lk|^2
-    return _mc_mean(lambda pm: np.exp(0.5 * p.t * np.einsum("k,l,blk->b", g, h, np.abs(pm) ** 2)),
-                    sample_sp2, draws, rng, chunk)
+    """Monte Carlo of int exp(t Tr G P* H P / 2) dnu(P) as exp(E1 - tt q); see sample_sp2."""
+    e1, _, tt = p.exponents()
+    return _mc_mean(lambda s_u, alpha, s_v, beta: np.exp(e1 - tt * (s_u + s_v - 2.0 * s_u * s_v)),
+                    _sp2_params, draws, rng, chunk)
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,33 @@
 """HCIZ closed forms, coset samplers, and the eigenvalue reduction identity."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bandmoments.chain import tail_probability
 from bandmoments.ensemble import RngStream
-from bandmoments.group_integrals import (HcizParams, _sp2_generic, _sp2_series,
+from bandmoments.group_integrals import (TAYLOR_CUTOFF, HcizParams, _coset_u2_params,
+                                         _sp2_generic, _sp2_params, _sp2_series,
                                          _sp2_weight_inverse_cdf, hciz_sp2,
                                          hciz_u2, mc_hciz_sp2, mc_hciz_u2,
                                          reduction_check, sample_coset_u2,
-                                         sample_sp2, symplectic_defect,
-                                         u2_quadrature)
+                                         sample_sp2, u2_quadrature)
 from bandmoments.kernels import ds_kernel, rho, saddle_data
 
 ANCHOR = HcizParams(1.0, 1.0, -1.0, 1.0, -1.0)
+
+_SIGMA_HAT = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+
+# few, derandomized examples: the property tests stay reproducible and fast
+PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
+BOUNDED = st.complex_numbers(max_magnitude=2.0)
+UNIT = st.floats(0.0, 1.0)
+PHASE = st.floats(-math.pi, math.pi)
 
 
 def _random_params(seed, count, min_gap=0.2):
@@ -82,7 +93,6 @@ class TestHcizSp2:
     def test_taylor_crossover_continuity(self):
         # the generic path's rounding floor is ~12 eps/|tt|^3, so the 1e-9
         # agreement is checked at the implemented crossover
-        from bandmoments.group_integrals import TAYLOR_CUTOFF
         e1 = 0.4 - 0.3j
         for phase in np.exp(1j * np.linspace(0.0, 6.0, 7)):
             tt = TAYLOR_CUTOFF * phase
@@ -111,6 +121,14 @@ class TestHcizSp2:
             val = hciz_sp2(p)
             assert val.imag == pytest.approx(0.0, abs=1e-12)
             assert val.real == pytest.approx(float(ds_kernel(math.pi * dxi)), abs=1e-12)
+
+
+def symplectic_defect(p):
+    """Max deviation from unitarity and from P sigma_hat P^t = sigma_hat over (..., 4, 4)."""
+    pt = np.swapaxes(p, -1, -2)
+    unitary = np.max(np.abs(p @ pt.conj() - np.eye(4)))
+    sympl = np.max(np.abs(p @ _SIGMA_HAT @ pt - _SIGMA_HAT))
+    return float(max(unitary, sympl))
 
 
 def _sp2_s_v(p):
@@ -186,27 +204,94 @@ class TestCosetSamplers:
 
 
 class TestOneSampler:
-    """Each Monte Carlo mean is the integrand averaged over its group's sampler."""
+    """Each Monte Carlo mean averages its integrand over its group's parameter draws.
+
+    The integrands are read from the coset parameters, exp(E1 - tt s) and
+    exp(E1 - tt q); the full-matrix tests pin them, draw by draw, to the
+    integrands over the matrices the samplers build from the same draws.
+    """
 
     P = _random_params(13, 1)[0]
 
     def test_u2_mean_over_sampler_draws(self):
-        c = np.array([self.P.c1, self.P.c2])
-        d = np.array([self.P.d1, self.P.d2])
-        u = sample_coset_u2(5_000, RngStream(50))
-        vals = np.exp(self.P.t * np.einsum("k,l,blk->b", c, d, np.abs(u) ** 2))
+        e1, _, tt = self.P.exponents()
+        s, _ = _coset_u2_params(5_000, RngStream(50).generator())
+        vals = np.exp(e1 - tt * s)
         mean, se = mc_hciz_u2(self.P, 5_000, RngStream(50))
         assert mean == np.sum(vals) / len(vals)
         assert se == pytest.approx(np.std(vals) / math.sqrt(len(vals)), rel=1e-9)
 
     def test_sp2_mean_over_sampler_draws(self):
-        g = np.array([self.P.d1, self.P.d2, self.P.d1, self.P.d2])
-        h = np.array([self.P.c1, self.P.c2, self.P.c1, self.P.c2])
-        p = sample_sp2(5_000, RngStream(51))
-        vals = np.exp(0.5 * self.P.t * np.einsum("k,l,blk->b", g, h, np.abs(p) ** 2))
+        e1, _, tt = self.P.exponents()
+        s_u, _, s_v, _ = _sp2_params(5_000, RngStream(51).generator())
+        vals = np.exp(e1 - tt * (s_u + s_v - 2.0 * s_u * s_v))
         mean, se = mc_hciz_sp2(self.P, 5_000, RngStream(51))
         assert mean == np.sum(vals) / len(vals)
         assert se == pytest.approx(np.std(vals) / math.sqrt(len(vals)), rel=1e-9)
+
+    def test_u2_integrand_matches_full_matrix(self):
+        c = np.array([self.P.c1, self.P.c2])
+        d = np.array([self.P.d1, self.P.d2])
+        u = sample_coset_u2(5_000, RngStream(52))
+        full = np.exp(self.P.t * np.einsum("k,l,blk->b", c, d, np.abs(u) ** 2))
+        e1, _, tt = self.P.exponents()
+        s, _ = _coset_u2_params(5_000, RngStream(52).generator())
+        np.testing.assert_allclose(np.exp(e1 - tt * s), full, rtol=1e-12, atol=0.0)
+
+    def test_sp2_integrand_matches_full_matrix(self):
+        g = np.array([self.P.d1, self.P.d2, self.P.d1, self.P.d2])
+        h = np.array([self.P.c1, self.P.c2, self.P.c1, self.P.c2])
+        p = sample_sp2(5_000, RngStream(53))
+        full = np.exp(0.5 * self.P.t * np.einsum("k,l,blk->b", g, h, np.abs(p) ** 2))
+        e1, _, tt = self.P.exponents()
+        s_u, _, s_v, _ = _sp2_params(5_000, RngStream(53).generator())
+        np.testing.assert_allclose(np.exp(e1 - tt * (s_u + s_v - 2.0 * s_u * s_v)), full,
+                                   rtol=1e-12, atol=0.0)
+
+
+def _coset_u(s, alpha):
+    """The U(2) coset element with U_11 = U_22 = sqrt(1 - s) and U_12 = sqrt(s) e^{i alpha}."""
+    e = math.sqrt(s) * cmath.exp(1j * alpha)
+    return np.array([[math.sqrt(1.0 - s), e], [-e.conjugate(), math.sqrt(1.0 - s)]])
+
+
+class TestTraceIdentities:
+    """The traces in both HCIZ exponents, on matrices built from the coset formulas."""
+
+    @PROPERTY
+    @given(p=st.builds(HcizParams, BOUNDED, BOUNDED, BOUNDED, BOUNDED, BOUNDED),
+           s=UNIT, alpha=PHASE)
+    def test_u2_trace_is_linear_in_s(self, p, s, alpha):
+        u = _coset_u(s, alpha)
+        e1, _, tt = p.exponents()
+        trace = np.trace(np.diag([p.c1, p.c2]) @ u.conj().T @ np.diag([p.d1, p.d2]) @ u)
+        assert abs(p.t * trace - (e1 - tt * s)) <= 1e-12
+
+    @PROPERTY
+    @given(p=st.builds(HcizParams, BOUNDED, BOUNDED, BOUNDED, BOUNDED, BOUNDED),
+           s_u=UNIT, alpha=PHASE, s_v=UNIT, beta=PHASE)
+    def test_sp2_trace_is_linear_in_q(self, p, s_u, alpha, s_v, beta):
+        # the block form of P = V U in sample_sp2's docstring
+        cos_phi, e = math.sqrt(1.0 - s_u), math.sqrt(s_u) * cmath.exp(1j * alpha)
+        v = _coset_u(s_v, beta)
+        sigma = np.array([[0.0, 1.0], [1.0, 0.0]])
+        pm = np.block([[cos_phi * v, e * v @ sigma],
+                       [-e.conjugate() * v.conj() @ sigma, cos_phi * v.conj()]])
+        g = np.diag([p.d1, p.d2, p.d1, p.d2])
+        h = np.diag([p.c1, p.c2, p.c1, p.c2])
+        e1, _, tt = p.exponents()
+        q = s_u + s_v - 2.0 * s_u * s_v
+        assert abs(0.5 * p.t * np.trace(g @ pm.conj().T @ h @ pm) - (e1 - tt * q)) <= 1e-12
+
+    @PROPERTY
+    @given(e1=BOUNDED, phase=PHASE)
+    def test_sp2_continuous_across_taylor_cutoff(self, e1, phase):
+        # t = d1 = 1, d2 = 0 fix E1 = e1 and tt; one value on each side of the seam
+        tts = TAYLOR_CUTOFF * cmath.exp(1j * phase) * np.array([1 - 1e-12, 1 + 1e-12])
+        sides = [HcizParams(1.0, e1, e1 - tt, 1.0, 0.0) for tt in tts]
+        assert [abs(p.exponents()[2]) < TAYLOR_CUTOFF for p in sides] == [True, False]
+        series, generic = (hciz_sp2(p) for p in sides)
+        assert abs(generic - series) <= 1e-9 * abs(cmath.exp(e1))
 
 
 class TestReductionCheck:
