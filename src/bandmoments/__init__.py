@@ -7,8 +7,8 @@ from .ensemble import RngStream, sample_band, sample_goe
 from .group_integrals import (HcizParams, ReductionReport, hciz_sp2, hciz_u2,
                               mc_hciz_sp2, mc_hciz_u2, reduction_check,
                               sample_coset_u2, sample_sp2, u2_quadrature)
-from .kernels import (SaddleData, ds_kernel, f_star, phase_factor, rho,
-                      saddle_data, saddle_f, semicircle_cdf)
+from .kernels import (SaddleData, ds_kernel, f_star, rho, saddle_data,
+                      saddle_f, semicircle_cdf)
 from .lattice import (LatticeParams, SingularSystemError, TridiagonalOperator,
                       neumann_laplacian, tridiagonal_logdet, tridiagonal_solve,
                       variance_profile)

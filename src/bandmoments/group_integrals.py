@@ -176,18 +176,20 @@ def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, ws
 
 
-def u2_quadrature(p: HcizParams, n_s: int = 96, n_alpha: int = 16) -> complex:
-    """Deterministic (s, alpha) quadrature of the U(2) integral, C = diag(c1, c2)."""
+def u2_quadrature(p: HcizParams, n_s: int = 96) -> complex:
+    """Deterministic s quadrature of the U(2) integral, C = diag(c1, c2).
+
+    |U_lk|^2 is s or 1 - s whatever the phase alpha, so the integrand does not
+    depend on alpha and the coset matrices are built at alpha = 0.
+    """
     s, ws = _unit_gauss_legendre(n_s)
-    alpha = -np.pi + 2.0 * np.pi * np.arange(n_alpha) / n_alpha
-    u = _coset_matrices(s[:, None] * np.ones(n_alpha)[None, :],
-                        np.broadcast_to(alpha, (n_s, n_alpha)))
+    u = _coset_matrices(s, np.zeros(n_s))
     c = np.array([p.c1, p.c2])
     d = np.array([p.d1, p.d2])
     # Tr C U* D U = sum_{k,l} c_k d_l |U_lk|^2
     quad_form = np.einsum("k,l,...lk->...", c, d, np.abs(u) ** 2)
     vals = np.exp(p.t * quad_form)
-    return complex(np.einsum("s,sa->", ws, vals) / n_alpha)
+    return complex(ws @ vals)
 
 
 def _check_budget(draws: int, chunk: int) -> None:

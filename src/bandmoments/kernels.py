@@ -21,7 +21,6 @@ __all__ = [
     "f_star",
     "SaddleData",
     "saddle_data",
-    "phase_factor",
     "log_phase_factor",
 ]
 
@@ -120,8 +119,3 @@ def log_phase_factor(xi1: float, xi2: float, lambda0: float, N: int) -> float:
         raise ValueError(f"lambda0 must lie in (-2, 2), got {lambda0}")
     r = rho(lambda0)
     return lambda0 * (xi1 + xi2) / (2.0 * r) + (xi1**2 + xi2**2) / (2.0 * N * r**2)
-
-
-def phase_factor(xi1: float, xi2: float, lambda0: float, N: int) -> float:
-    """C(xi) = exp(lambda0 (xi1+xi2) / 2 rho + (xi1^2+xi2^2) / 2 N rho^2)."""
-    return math.exp(log_phase_factor(xi1, xi2, lambda0, N))

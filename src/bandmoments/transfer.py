@@ -26,16 +26,20 @@ bond maps v to
         - (12/W^6) (gaa M3 gaa - gab M3^T gab) / d^3,   Mk = v / d^k,
 
 with d = a - b taken entrywise.  Gaussian couplings have a numerical rank
-far below the grid size G (about G/5), so build_kernel stores them as real
-factors gaa = Ua Ua^T (eigh) and gab = Ub Vb (SVD), keeping the eigen- and
-singular values above float eps times the largest: what is dropped lies
-below the rounding of the factorisation itself.  With r = ka + kb columns,
+ka far below the grid size G (about G/5).  build_kernel keeps gaa = Ua Ua^T
+from one eigh, with the eigenvalues above float eps times the largest; as
+b = a + offset, gab = c E gaa E^-1 = Ub Vb with Ub = sqrt(c) E Ua and
+Vb = sqrt(c) Ua^T E^-1, where E = diag(exp(W^2 offset a)) and
+c = exp(-W^2 offset^2 / 2).  A bond then costs O(ka G^2) in real products,
 
     gaa M gaa +- gab M^T gab
         = [Ua | Ub] blockdiag(Ua^T M Ua, +-Vb M^T Ub) [Ua^T ; Vb],
 
-and a bond costs O(r G^2) in real matrix products on the real and imaginary
-parts of M, instead of O(G^3) in complex ones.  The a- and b-grids are
+on one plane at the band centre (lambda0 = 0, xi = 0), whose site weights
+are stored real, and on M's real and imaginary planes elsewhere.  The bond
+is a symmetric matrix in ((a, b), (a', b')) and all sites are alike, so for
+odd N the chain integral is sum(site * m^2), m the message from one end
+into the middle site: (N - 1) / 2 bonds, not N - 1.  The a- and b-grids are
 staggered by half the smallest node gap, which keeps a - b (and with it the
 1/tt^3 cancellations) bounded away from zero; the site factor (a-b)^4
 suppresses the near-diagonal region those terms live on.
@@ -53,16 +57,8 @@ from .lattice import (LatticeParams, TridiagonalOperator, neumann_laplacian,
                       tridiagonal_logdet)
 from .moments import MomentEstimate, ScanConfig, estimate_f2
 
-__all__ = [
-    "Grid2D",
-    "TransferKernel",
-    "TransferResult",
-    "GridOffsetError",
-    "build_kernel",
-    "transfer_evaluate",
-    "CrossValidation",
-    "cross_validate",
-]
+__all__ = ["Grid2D", "TransferKernel", "TransferResult", "GridOffsetError", "build_kernel",
+           "transfer_evaluate", "CrossValidation", "cross_validate"]
 
 # Node spacing target is 1/(spacing_factor * W); the grid reaches at least
 # this far beyond the saddle so single-site tails stay below the quadrature
@@ -98,7 +94,7 @@ class TransferKernel:
     xi: float
     refine: float
     grid: Grid2D
-    site: np.ndarray          # w(a,b) * quadrature weights, complex (Ga, Gb)
+    site: np.ndarray          # w(a,b) * quadrature weights, (Ga, Gb); real at the band centre
     inv_d2: np.ndarray
     inv_d3: np.ndarray
     left: np.ndarray | None   # [Ua | Ub], (G, r); None at N=1, which has no bond
@@ -164,16 +160,15 @@ def _site_weights(grid: Grid2D, params: LatticeParams, lambda0: float, xi: float
             * grid.weights_a[:, None] * grid.weights_a[None, :])
 
 
-def _coupling_factors(w2: float, a: np.ndarray,
-                      b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _coupling_factors(w2: float, grid: Grid2D) -> tuple[np.ndarray, np.ndarray, int]:
     """[Ua | Ub], [Ua^T ; Vb] and ka, with gaa = Ua Ua^T and gab = Ub Vb."""
-    eps = np.finfo(float).eps
+    a, offset = grid.nodes_a, grid.offset
     vals, vecs = np.linalg.eigh(np.exp(-0.5 * w2 * (a[:, None] - a[None, :]) ** 2))
-    keep = vals > eps * vals[-1]
+    keep = vals > np.finfo(float).eps * vals[-1]
     ua = vecs[:, keep] * np.sqrt(vals[keep])
-    u, s, vt = np.linalg.svd(np.exp(-0.5 * w2 * (a[:, None] - b[None, :]) ** 2))
-    root = np.sqrt(s[s > eps * s[0]])
-    ub, vb = u[:, :len(root)] * root, root[:, None] * vt[:len(root)]
+    # Ub = sqrt(c) E Ua and Vb = sqrt(c) Ua^T E^-1 (module docstring)
+    ub = ua * np.exp(w2 * offset * (a - 0.25 * offset))[:, None]
+    vb = ua.T * np.exp(-w2 * offset * (a + 0.25 * offset))
     return np.hstack((ua, ub)), np.vstack((ua.T, vb)), ua.shape[1]
 
 
@@ -183,7 +178,7 @@ def build_kernel(params: LatticeParams, lambda0: float, xi: float,
     grid = _build_grid(params, lambda0, refine)
     w2 = params.W**2
     a, b = grid.nodes_a, grid.nodes_b
-    left, right, rank_a = (None, None, 0) if params.N == 1 else _coupling_factors(w2, a, b)
+    left, right, rank_a = (None, None, 0) if params.N == 1 else _coupling_factors(w2, grid)
     d = a[:, None] - b[None, :]
     lap = neumann_laplacian(params.N)
     profile_op = TridiagonalOperator(-w2 * lap.diagonal, -w2 * lap.offdiagonal)
@@ -191,18 +186,19 @@ def build_kernel(params: LatticeParams, lambda0: float, xi: float,
     log_pref = (log_phase_factor(xi, xi, lambda0, params.N)
                 + 3.0 * tridiagonal_logdet(profile_op, 1.0).real
                 - params.N * math.log(24.0 * math.pi))
+    site = _site_weights(grid, params, lambda0, xi)
     return TransferKernel(
         params=params, lambda0=lambda0, xi=xi, refine=refine, grid=grid,
-        site=_site_weights(grid, params, lambda0, xi),
+        site=site if site.imag.any() else site.real,
         inv_d2=d**-2.0, inv_d3=d**-3.0,
         left=left, right=right, rank_a=rank_a,
         log_prefactor_magnitude=log_pref)
 
 
 def _apply_bond(kernel: TransferKernel, v: np.ndarray) -> np.ndarray:
-    """One bond of the chain (module docstring) applied to v, (G, G) complex."""
+    """One bond of the chain (module docstring) applied to v, (G, G) real or complex."""
     left, right, ka = kernel.left, kernel.right, kernel.rank_a
-    planes = np.stack((v.real, v.imag))          # (2, G, G): real GEMMs only
+    planes = np.stack((v.real, v.imag)) if np.iscomplexobj(v) else v[None]  # real GEMMs
     out = np.zeros_like(planes)
     for inv_d, coeff, sign in ((kernel.inv_d2, 6.0 / kernel.params.W**4, 1.0),
                                (kernel.inv_d3, -12.0 / kernel.params.W**6, -1.0)):
@@ -213,21 +209,24 @@ def _apply_bond(kernel: TransferKernel, v: np.ndarray) -> np.ndarray:
              sign * (t[:, ka:] @ right[ka:].T).transpose(0, 2, 1) @ right[ka:]),
             axis=1)
         out += coeff * inv_d * (left @ core_right)
-    return out[0] + 1j * out[1]
+    return out[0] if len(out) == 1 else out[0] + 1j * out[1]
 
 
 def _contract(kernel: TransferKernel) -> complex:
-    v = kernel.site.copy()
+    """-C * sum(site * m^2), m the message from site 1 into the middle site."""
+    n = kernel.params.N
+    assert n % 2 == 1, f"the middle-site contraction needs odd N, got {n}"
+    m = np.ones(kernel.site.shape)
     log_scale = 0.0
-    for _ in range(kernel.params.N - 1):
-        v = _apply_bond(kernel, v) * kernel.site
-        scale = float(np.max(np.abs(v)))
+    for _ in range(n // 2):
+        m = _apply_bond(kernel, m * kernel.site)
+        scale = float(np.max(np.abs(m)))
         if scale == 0.0:
             return 0.0j
-        v /= scale
+        m /= scale
         log_scale += math.log(scale)
-    total = complex(np.sum(v))
-    return -total * math.exp(kernel.log_prefactor_magnitude + log_scale)
+    total = complex(np.sum(kernel.site * m * m))
+    return -total * math.exp(kernel.log_prefactor_magnitude + 2.0 * log_scale)
 
 
 def transfer_evaluate(kernel: TransferKernel) -> TransferResult:

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bandmoments.kernels import (ds_kernel, f_star, log_phase_factor,
-                                 phase_factor, rho, saddle_data, saddle_f,
-                                 semicircle_cdf)
+from bandmoments.kernels import (ds_kernel, f_star, log_phase_factor, rho,
+                                 saddle_data, saddle_f, semicircle_cdf)
 
 
 class TestRho:
@@ -113,6 +112,11 @@ class TestSaddle:
     def test_a_plus_is_pi_rho(self, lambda0):
         sd = saddle_data(lambda0)
         assert abs(sd.a_plus - math.pi * rho(lambda0)) < 1e-14
+
+
+def phase_factor(xi1, xi2, lambda0, n):
+    """C(xi) = exp(lambda0 (xi1+xi2) / 2 rho + (xi1^2+xi2^2) / 2 N rho^2)."""
+    return math.exp(log_phase_factor(xi1, xi2, lambda0, n))
 
 
 class TestPhaseFactor:

@@ -1,7 +1,11 @@
 """Spectra, signed log-determinants, NCM histograms, semicircle distance."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandmoments.ensemble import RngStream, sample_goe, sample_goe_tridiagonal
 from bandmoments.kernels import semicircle_cdf
@@ -10,6 +14,20 @@ from bandmoments.spectral import (NcmHistogram, eigenvalues, ncm,
                                   signed_logdets, tridiagonal_signed_logdets)
 
 RNG = np.random.default_rng(1)
+
+# few, derandomized examples: the property test stays reproducible and fast
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+# dyadic entries in [-2, 2]: zero and repeated values plant exact zero pivots,
+# and scaling them by 2^e, |e| <= 400, stays exact (no overflow or underflow)
+ENTRY = st.integers(-2**20, 2**20).map(lambda k: k / 2.0**19)
+
+
+@st.composite
+def _tridiagonals(draw):
+    n = draw(st.integers(1, 8))
+    diag = draw(st.lists(ENTRY, min_size=n, max_size=n))
+    offdiag = draw(st.lists(ENTRY, min_size=n - 1, max_size=n - 1))
+    return np.array(diag), np.array(offdiag) ** 2
 
 
 class TestEigenvalues:
@@ -109,6 +127,23 @@ class TestTridiagonalSignedLogdets:
             tridiagonal_signed_logdets(np.zeros(3), np.zeros(2), [0.0])
         with pytest.raises(ValueError):
             tridiagonal_signed_logdets(np.zeros((1, 2)), [[np.nan]], [0.0])
+
+    @PROPERTY
+    @given(t=_tridiagonals(), lam=ENTRY, exponent=st.integers(-400, 400))
+    def test_matches_dense_slogdet(self, t, lam, exponent):
+        diag, offdiag_sq = t
+        n = len(diag)
+        # scaling T and lam by 2^e is exact and moves log|det| by n e log 2
+        scale = 2.0**exponent
+        logd, signs = tridiagonal_signed_logdets([scale * diag], [scale**2 * offdiag_sq],
+                                                 [scale * lam])
+        shifted = lam * np.eye(n) - _dense_tridiagonal(diag, offdiag_sq)
+        sign, log_abs = np.linalg.slogdet(shifted)
+        assert (signs[0, 0] == 0) == (logd[0, 0] == -math.inf)
+        got = int(signs[0, 0]) * math.exp(logd[0, 0] - n * exponent * math.log(2.0))
+        # the product of absolute row sums bounds |det| and the rounding of both
+        bound = np.prod(np.abs(shifted).sum(axis=1))
+        assert abs(got - sign * math.exp(log_abs)) <= 1e-12 * n * bound
 
 
 class TestNcm:

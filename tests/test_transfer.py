@@ -28,6 +28,28 @@ def _rebuilt_couplings(k):
     return k.left[:, :ka] @ k.right[:ka], k.left[:, ka:] @ k.right[ka:]
 
 
+def _sequential_contract(k):
+    """The chain integral bond by bond from site 1 to site N, on complex planes."""
+    v = k.site.astype(complex)
+    log_scale = 0.0
+    for _ in range(k.params.N - 1):
+        v = _apply_bond(k, v) * k.site
+        scale = float(np.max(np.abs(v)))
+        v /= scale
+        log_scale += math.log(scale)
+    return -complex(np.sum(v)) * math.exp(k.log_prefactor_magnitude + log_scale)
+
+
+def _dense_bond(k, v):
+    """One bond straight from the closed-form couplings, in complex arithmetic."""
+    w = k.params.W
+    gaa, gab = _closed_form_couplings(k)
+    m2 = v * k.inv_d2
+    m3 = v * k.inv_d3
+    return ((6.0 / w**4) * k.inv_d2 * (gaa @ m2 @ gaa + gab @ m2.T @ gab)
+            - (12.0 / w**6) * k.inv_d3 * (gaa @ m3 @ gaa - gab @ m3.T @ gab))
+
+
 class TestSingleSiteAnchor:
     @pytest.mark.parametrize("lambda0,xi,w", [
         (0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.0, 0.7, 2.0),
@@ -71,6 +93,11 @@ class TestKernelStructure:
             k = build_kernel(LatticeParams(2, w), 1.0, 0.0)
             assert k.grid.radius >= math.pi * rho(1.0) + 5.0 / w
 
+    @pytest.mark.parametrize("lambda0,xi", [(0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (1.5, -0.7)])
+    def test_site_real_exactly_at_band_centre(self, lambda0, xi):
+        k = build_kernel(LatticeParams(1, 2.0), lambda0, xi)
+        assert np.isrealobj(k.site) == (lambda0 == 0.0 and xi == 0.0)
+
     def test_site_weights_even_for_centered_band(self):
         # w(a, b) = w(-a, -b) at lambda0 = 0, xi = 0
         nodes = np.array([-1.7, -0.6, -0.25, 0.25, 0.6, 1.7])
@@ -96,7 +123,7 @@ class TestFactoredBond:
     def test_factors_rebuild_couplings(self, half_width, w, lambda0, xi, refine):
         k = build_kernel(LatticeParams(half_width, w), lambda0, xi, refine=refine)
         for got, want in zip(_rebuilt_couplings(k), _closed_form_couplings(k)):
-            # eigh and SVD round at about eps * |g|, whose row sums are ~20 on
+            # eigh rounds at about eps * |g|, whose row sums are ~20 on
             # the coarse grid and ~40 on the refined one; untruncated factors
             # err as much
             norm = np.abs(want).sum(axis=1).max()
@@ -107,18 +134,23 @@ class TestFactoredBond:
     @pytest.mark.parametrize("half_width,w,lambda0,xi", BOND_POINTS)
     def test_matches_dense_bond(self, half_width, w, lambda0, xi):
         k = build_kernel(LatticeParams(half_width, w), lambda0, xi)
-        gaa, gab = _closed_form_couplings(k)
         gen = np.random.default_rng(5)
         v = k.site * (gen.standard_normal(k.site.shape) + 1j * gen.standard_normal(k.site.shape))
-        m2 = v * k.inv_d2
-        m3 = v * k.inv_d3
-        dense = ((6.0 / w**4) * k.inv_d2 * (gaa @ m2 @ gaa + gab @ m2.T @ gab)
-                 - (12.0 / w**6) * k.inv_d3 * (gaa @ m3 @ gaa - gab @ m3.T @ gab))
         # the chain multiplies each bond's output by the site weight at once;
         # that weight's (a-b)^4 cancels the 1/d^3 that turns rounding in
         # either formula into ~1e-9 relative noise at the smallest |a - b|
         got = _apply_bond(k, v) * k.site
-        want = dense * k.site
+        want = _dense_bond(k, v) * k.site
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("half_width,w", [(1, 1.0), (4, 4.0), (1, 8.0)])
+    def test_real_v_matches_dense_bond(self, half_width, w):
+        # at the band centre the site weights, and so v, are real: one plane
+        k = build_kernel(LatticeParams(half_width, w), 0.0, 0.0)
+        v = k.site * np.random.default_rng(6).standard_normal(k.site.shape)
+        got = _apply_bond(k, v) * k.site
+        want = _dense_bond(k, v) * k.site
+        assert np.isrealobj(got)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -147,6 +179,16 @@ class TestDenseKernelOracle:
         expected = -chain * math.exp(k.log_prefactor_magnitude)
         got = _contract(k)
         assert got == pytest.approx(expected, rel=1e-10)
+
+
+class TestMiddleSiteContraction:
+    @pytest.mark.parametrize("half_width", [1, 2, 4, 16])
+    @pytest.mark.parametrize("lambda0,xi", [(0.0, 0.0), (1.0, 0.7)])
+    def test_matches_sequential_chain(self, half_width, lambda0, xi):
+        # (N - 1) / 2 bonds into the middle site against all N - 1 in a row
+        k = build_kernel(LatticeParams(half_width, 2.0), lambda0, xi)
+        want = _sequential_contract(k)
+        assert abs(_contract(k) - want) <= 1e-12 * abs(want)
 
 
 class TestRefinement:
