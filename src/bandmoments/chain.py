@@ -110,14 +110,6 @@ def green_diag(p: ChainParams, i: int) -> complex:
     return complex(x[i - 1])
 
 
-def _chain_cholesky(m: int, W: float, gamma_real: float) -> np.ndarray:
-    op = chain_operator(m)
-    ab = np.zeros((2, m))
-    ab[1] = op.diagonal + 2.0 * gamma_real / W**2
-    ab[0, 1:] = op.offdiagonal
-    return cholesky_banded(ab, lower=False)
-
-
 def sample_chain(m: int, W: float, gamma_real: float, rng, size: int | None = None) -> np.ndarray:
     """Exact Gaussian draws with precision -Delta + 2 gamma/W^2 (real gamma).
 
@@ -126,7 +118,11 @@ def sample_chain(m: int, W: float, gamma_real: float, rng, size: int | None = No
     if not gamma_real > 0:
         raise ValueError(f"gamma must be positive for sampling, got {gamma_real}")
     gen = as_generator(rng)
-    cb = _chain_cholesky(m, W, gamma_real)
+    op = chain_operator(m)
+    ab = np.zeros((2, m))
+    ab[1] = op.diagonal + 2.0 * gamma_real / W**2
+    ab[0, 1:] = op.offdiagonal
+    cb = cholesky_banded(ab, lower=False)
     z = gen.standard_normal((m, 1 if size is None else size))
     x = solve_banded((0, 1), cb, z)
     return x[:, 0] if size is None else x.T
@@ -142,12 +138,8 @@ def tail_probability(m: int, W: float, gamma_real: float, delta: float,
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
     gen = as_generator(rng)
-    cb = _chain_cholesky(m, W, gamma_real)
     exceed = 0
-    done = 0
-    while done < draws:
-        b = min(chunk, draws - done)
-        x = solve_banded((0, 1), cb, gen.standard_normal((m, b)))
-        exceed += int(np.sum(np.max(np.abs(x), axis=0) > delta * W))
-        done += b
+    for start in range(0, draws, chunk):
+        x = sample_chain(m, W, gamma_real, gen, size=min(chunk, draws - start))
+        exceed += int(np.sum(np.max(np.abs(x), axis=1) > delta * W))
     return exceed / draws

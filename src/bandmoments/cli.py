@@ -344,11 +344,13 @@ def chain_suite(seed: int, tail_draws: int) -> list[CheckRow]:
                                     RngStream(seed, int(w * 10 + delta * 100)))
             if 0.0 < freq < 0.95:
                 points.append((delta**2 * w, math.log(freq)))
-    x = np.array([p[0] for p in points])
-    y = np.array([p[1] for p in points])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    r2 = 1.0 - np.sum(resid**2) / np.sum((y - np.mean(y)) ** 2)
+    if len(points) < 2:  # nothing to fit: both tail rows fail
+        slope = r2 = math.nan
+    else:
+        x, y = np.array(points).T
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = y - (slope * x + intercept)
+        r2 = 1.0 - np.sum(resid**2) / np.sum((y - np.mean(y)) ** 2)
     rows.append(CheckRow("chain_tail_slope_negative", float(slope < 0.0), 1.0, 0.5))
     rows.append(CheckRow("chain_tail_fit_r2", float(r2), 1.0, 0.1))
     return rows

@@ -197,8 +197,8 @@ class ScanConfig:
     def __post_init__(self):
         if not abs(self.lambda0) < 2.0:
             raise ValueError(f"lambda0 must lie in (-2, 2), got {self.lambda0}")
-        if self.num_samples < 1:
-            raise ValueError("sample count must be at least 1")
+        if self.num_samples < 2:  # one sample gives no error bar
+            raise ValueError(f"sample count must be at least 2, got {self.num_samples}")
         if self.num_streams < 1:
             raise ValueError(f"stream count must be at least 1, got {self.num_streams}")
         if self.goe_size is not None and self.goe_size < 1:
@@ -350,8 +350,6 @@ def _run_scan(config: ScanConfig, lambdas: tuple[float, ...],
 
 def estimate_f2(config: ScanConfig, lambda1: float, lambda2: float) -> MomentEstimate:
     """Monte Carlo estimate of E[det(lambda1 - H) det(lambda2 - H)]."""
-    if config.num_samples < 2:
-        raise ValueError("need at least 2 samples for an error bar")
     if lambda1 == lambda2:
         lambdas, pairs = (lambda1,), ((0, 0),)
     else:

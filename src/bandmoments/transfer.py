@@ -17,23 +17,22 @@ and bond kernel (tt = W^2 (a - b)(a' - b'))
     Gd = exp(-(W^2/2)((a-a')^2 + (b-b')^2)),
     Gs = exp(-(W^2/2)((a-b')^2 + (b-a')^2)).
 
-The kernel is separable in the two variables.  On the grid, with
-gaa[i, j] = exp(-W^2 (a_i - a_j)^2 / 2) (also the b-b coupling, the b-grid
-being the shifted a-grid) and gab[i, j] = exp(-W^2 (a_i - b_j)^2 / 2), one
-bond maps v to
+The kernel is separable in the two variables.  On the grid, with the
+Gaussian couplings gaa[i, j] = exp(-W^2 (a_i - a_j)^2 / 2), gbb (the same
+on the b-grid) and gab[i, j] = exp(-W^2 (a_i - b_j)^2 / 2), one bond maps v
+to
 
-    (6/W^4) (gaa M2 gaa + gab M2^T gab) / d^2
-        - (12/W^6) (gaa M3 gaa - gab M3^T gab) / d^3,   Mk = v / d^k,
+    (6/W^4) (gaa M2 gbb + gab M2^T gab) / d^2
+        - (12/W^6) (gaa M3 gbb - gab M3^T gab) / d^3,   Mk = v / d^k,
 
-with d = a - b taken entrywise.  Gaussian couplings have a numerical rank
-ka far below the grid size G (about G/5).  build_kernel keeps gaa = Ua Ua^T
-from one eigh, with the eigenvalues above float eps times the largest; as
-b = a + offset, gab = c E gaa E^-1 = Ub Vb with Ub = sqrt(c) E Ua and
-Vb = sqrt(c) Ua^T E^-1, where E = diag(exp(W^2 offset a)) and
-c = exp(-W^2 offset^2 / 2).  A bond then costs O(ka G^2) in real products,
+with d = a - b taken entrywise.  The Gaussian on the union of both grids
+has a numerical rank r far below the grid size G (G/5 to 2G/5).  build_kernel
+factors it once by pivoted Cholesky, stopping at pivots below 1e-15 (its
+diagonal is exactly 1), and splits the factor's rows into La and Lb, so
+gaa = La La^T, gbb = Lb Lb^T and gab = La Lb^T.  With one r x r core
+T = La^T M Lb per term, a bond costs O(r G^2) in real products,
 
-    gaa M gaa +- gab M^T gab
-        = [Ua | Ub] blockdiag(Ua^T M Ua, +-Vb M^T Ub) [Ua^T ; Vb],
+    gaa M gbb +- gab M^T gab = La (T +- T^T) Lb^T,
 
 on one plane at the band centre (lambda0 = 0, xi = 0), whose site weights
 are stored real, and on M's real and imaginary planes elsewhere.  The bond
@@ -51,6 +50,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpstrf
 
 from .kernels import log_phase_factor, rho, saddle_data
 from .lattice import (LatticeParams, TridiagonalOperator, neumann_laplacian,
@@ -68,6 +68,9 @@ _RADIUS_REACH = 6.5
 _RADIUS_PAD = 3.6
 _NODES_PER_PANEL = 6
 _MIN_NODE_GAP = 1e-6
+# Pivoted Cholesky of the couplings stops at pivots below this; the
+# Gaussian's diagonal is exactly 1, so the tolerance is absolute.
+_PIVOT_TOL = 1e-15
 
 
 class GridOffsetError(ValueError):
@@ -97,9 +100,8 @@ class TransferKernel:
     site: np.ndarray          # w(a,b) * quadrature weights, (Ga, Gb); real at the band centre
     inv_d2: np.ndarray
     inv_d3: np.ndarray
-    left: np.ndarray | None   # [Ua | Ub], (G, r); None at N=1, which has no bond
-    right: np.ndarray | None  # [Ua^T ; Vb], (r, G); None at N=1
-    rank_a: int               # columns of Ua; 0 at N=1
+    la: np.ndarray            # (G, r): gaa = La La^T, gab = La Lb^T
+    lb: np.ndarray            # (G, r): gbb = Lb Lb^T
     log_prefactor_magnitude: float   # the prefactor itself is -exp(this)
 
 
@@ -160,16 +162,15 @@ def _site_weights(grid: Grid2D, params: LatticeParams, lambda0: float, xi: float
             * grid.weights_a[:, None] * grid.weights_a[None, :])
 
 
-def _coupling_factors(w2: float, grid: Grid2D) -> tuple[np.ndarray, np.ndarray, int]:
-    """[Ua | Ub], [Ua^T ; Vb] and ka, with gaa = Ua Ua^T and gab = Ub Vb."""
-    a, offset = grid.nodes_a, grid.offset
-    vals, vecs = np.linalg.eigh(np.exp(-0.5 * w2 * (a[:, None] - a[None, :]) ** 2))
-    keep = vals > np.finfo(float).eps * vals[-1]
-    ua = vecs[:, keep] * np.sqrt(vals[keep])
-    # Ub = sqrt(c) E Ua and Vb = sqrt(c) Ua^T E^-1 (module docstring)
-    ub = ua * np.exp(w2 * offset * (a - 0.25 * offset))[:, None]
-    vb = ua.T * np.exp(-w2 * offset * (a + 0.25 * offset))
-    return np.hstack((ua, ub)), np.vstack((ua.T, vb)), ua.shape[1]
+def _coupling_factors(w2: float, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """La and Lb, the a- and b-rows of one pivoted Cholesky factor of the
+    Gaussian on the union of both grids."""
+    x = np.concatenate((grid.nodes_a, grid.nodes_b))
+    c, piv, rank, _ = dpstrf(np.exp(-0.5 * w2 * (x[:, None] - x[None, :]) ** 2),
+                             tol=_PIVOT_TOL, lower=1)
+    factor = np.empty((len(x), rank))
+    factor[piv - 1] = np.tril(c[:, :rank])   # P^T gram P = L L^T, piv 1-based
+    return tuple(np.split(factor, 2))
 
 
 def build_kernel(params: LatticeParams, lambda0: float, xi: float,
@@ -178,7 +179,7 @@ def build_kernel(params: LatticeParams, lambda0: float, xi: float,
     grid = _build_grid(params, lambda0, refine)
     w2 = params.W**2
     a, b = grid.nodes_a, grid.nodes_b
-    left, right, rank_a = (None, None, 0) if params.N == 1 else _coupling_factors(w2, grid)
+    la, lb = _coupling_factors(w2, grid)
     d = a[:, None] - b[None, :]
     lap = neumann_laplacian(params.N)
     profile_op = TridiagonalOperator(-w2 * lap.diagonal, -w2 * lap.offdiagonal)
@@ -191,24 +192,19 @@ def build_kernel(params: LatticeParams, lambda0: float, xi: float,
         params=params, lambda0=lambda0, xi=xi, refine=refine, grid=grid,
         site=site if site.imag.any() else site.real,
         inv_d2=d**-2.0, inv_d3=d**-3.0,
-        left=left, right=right, rank_a=rank_a,
+        la=la, lb=lb,
         log_prefactor_magnitude=log_pref)
 
 
 def _apply_bond(kernel: TransferKernel, v: np.ndarray) -> np.ndarray:
     """One bond of the chain (module docstring) applied to v, (G, G) real or complex."""
-    left, right, ka = kernel.left, kernel.right, kernel.rank_a
+    la, lb = kernel.la, kernel.lb
     planes = np.stack((v.real, v.imag)) if np.iscomplexobj(v) else v[None]  # real GEMMs
     out = np.zeros_like(planes)
     for inv_d, coeff, sign in ((kernel.inv_d2, 6.0 / kernel.params.W**4, 1.0),
                                (kernel.inv_d3, -12.0 / kernel.params.W**6, -1.0)):
-        t = left.T @ (planes * inv_d)            # (2, r, G): [Ua^T M ; Ub^T M]
-        # blockdiag(Ua^T M Ua, sign Vb M^T Ub) @ right, (2, r, G)
-        core_right = np.concatenate(
-            (t[:, :ka] @ left[:, :ka] @ right[:ka],
-             sign * (t[:, ka:] @ right[ka:].T).transpose(0, 2, 1) @ right[ka:]),
-            axis=1)
-        out += coeff * inv_d * (left @ core_right)
+        core = la.T @ (planes * inv_d) @ lb          # T = La^T M Lb, (planes, r, r)
+        out += coeff * inv_d * (la @ (core + sign * core.transpose(0, 2, 1)) @ lb.T)
     return out[0] if len(out) == 1 else out[0] + 1j * out[1]
 
 

@@ -170,6 +170,12 @@ class TestScanCommand:
         main(self.ARGS + ["--seed", "3", "--workers", "2", "--out", str(out2)])
         assert _read(out1 / "scan_f2.csv") == _read(out2 / "scan_f2.csv")
 
+    def test_one_sample_rejected(self, tmp_path):
+        out = tmp_path / "one"
+        with pytest.raises(ValueError, match="at least 2, got 1"):
+            main(["scan-f2", "--size", "8", "--samples", "1", "--out", str(out)])
+        assert not (out / "scan_f2.csv").exists()
+
 
 class TestVerifyCommands:
     FAST = ["--sets", "3", "--draws", "40000", "--seed", "1"]
@@ -213,6 +219,17 @@ class TestVerifyCommands:
         out = tmp_path / "c"
         code = main(["verify-chain", "--tail-draws", "20000", "--out", str(out)])
         assert code == 0
+
+    def test_chain_tail_rows_fail_without_a_fit(self, tmp_path):
+        # one draw per point gives frequencies 0 or 1: no point to fit
+        rows = {r.check_id: r for r in cli.chain_suite(seed=0, tail_draws=1)}
+        assert not rows["chain_tail_slope_negative"].passed
+        assert not rows["chain_tail_fit_r2"].passed
+        out = tmp_path / "c1"
+        assert main(["verify-chain", "--tail-draws", "1", "--out", str(out)]) == 1
+        lines = _read(out / "verify.csv").splitlines()
+        assert [line.split(",")[0] for line in lines if line.endswith(",0")] == [
+            "chain_tail_slope_negative", "chain_tail_fit_r2"]
 
     def test_report_runs_everything(self, tmp_path):
         out = tmp_path / "rep"

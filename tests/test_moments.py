@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandmoments import moments
 from bandmoments.kernels import ds_kernel, rho
@@ -40,6 +42,14 @@ def _random_contributions(count):
     return signs, logs
 
 
+# signed log terms with zero signs and -inf logs (zero terms), plus cut
+# points that partition them into consecutive parts, some of them empty
+TERM = st.tuples(st.sampled_from([-1, 0, 1]),
+                 st.one_of(st.just(-math.inf), st.floats(-700.0, 700.0)))
+TERMS = st.lists(TERM, min_size=1, max_size=40)
+CUTS = st.lists(st.integers(0, 40), max_size=6)
+
+
 class TestSignedAccumulator:
     def test_merge_matches_single_pass(self):
         signs, logs = _random_contributions(1000)
@@ -62,6 +72,22 @@ class TestSignedAccumulator:
                     b.log_mean_magnitude, rel=1e-12)
                 assert a.relative_stderr == pytest.approx(
                     b.relative_stderr, rel=1e-9)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(terms=TERMS, cuts=CUTS)
+    def test_merge_of_any_partition_matches_pooled_add(self, terms, cuts):
+        signs, logs = (np.array(column) for column in zip(*terms))
+        pooled = SignedAccumulator()
+        pooled.add_many(signs, logs)
+        bounds = [0, *sorted(min(c, len(terms)) for c in cuts), len(terms)]
+        merged = SignedAccumulator()
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = SignedAccumulator()
+            part.add_many(signs[lo:hi], logs[lo:hi])
+            merged = merged.merge(part)
+        assert merged.count == pooled.count
+        # each log sum to rounding; -inf (an empty sum) exactly
+        assert merged.log_sums() == pytest.approx(pooled.log_sums(), rel=1e-13, abs=1e-13)
 
     def test_merge_commutes(self):
         signs, logs = _random_contributions(200)
@@ -365,3 +391,9 @@ class TestEstimateRatio:
         with pytest.raises(ValueError):
             ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=10,
                        master_seed=0, goe_size=0)
+
+    def test_one_sample_rejected(self):
+        # one sample has no error bar: every row would read ratio +-1, flag ok
+        with pytest.raises(ValueError, match="at least 2, got 1"):
+            ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=1,
+                       master_seed=0, goe_size=8)

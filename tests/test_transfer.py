@@ -23,9 +23,8 @@ def _closed_form_couplings(k):
 
 
 def _rebuilt_couplings(k):
-    """gaa = Ua Ua^T and gab = Ub Vb from the kernel's factors."""
-    ka = k.rank_a
-    return k.left[:, :ka] @ k.right[:ka], k.left[:, ka:] @ k.right[ka:]
+    """gaa = La La^T and gab = La Lb^T from the kernel's factors."""
+    return k.la @ k.la.T, k.la @ k.lb.T
 
 
 def _sequential_contract(k):
@@ -60,11 +59,6 @@ class TestSingleSiteAnchor:
         lam = lambda0 + xi / rho(lambda0)
         assert result.f2 == pytest.approx(lam**2 + 2.0, rel=1e-6)
         assert result.imag_ratio < 1e-6
-
-    def test_single_site_kernel_carries_no_factors(self):
-        # N=1 applies no bond, so build_kernel skips the coupling factors
-        k = build_kernel(LatticeParams(0, 4.0), 1.0, 0.0)
-        assert (k.left, k.right, k.rank_a) == (None, None, 0)
 
 
 class TestKernelStructure:
@@ -117,19 +111,28 @@ BOND_POINTS = [(1, 1.0, 0.0, 0.0), (1, 2.0, 1.0, 0.7), (4, 4.0, 1.5, -0.5),
                (16, 4.0, 1.0, 0.7), (1, 8.0, 0.0, 0.5)]
 
 
+def _assert_factors_rebuild_couplings(k):
+    # the pivoted Cholesky stops at pivots below 1e-15, so the rebuilt
+    # couplings err by about that much at any W, refinement and stagger
+    b = k.grid.nodes_b
+    gbb = np.exp(-0.5 * k.params.W**2 * (b[:, None] - b[None, :]) ** 2)
+    for got, want in zip((*_rebuilt_couplings(k), k.lb @ k.lb.T),
+                         (*_closed_form_couplings(k), gbb)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=5e-15)
+    assert k.la.shape == k.lb.shape
+    assert k.la.shape[1] < len(k.grid.nodes_a)
+
+
 class TestFactoredBond:
     @pytest.mark.parametrize("half_width,w,lambda0,xi", BOND_POINTS)
     @pytest.mark.parametrize("refine", [1.0, 2.0])
     def test_factors_rebuild_couplings(self, half_width, w, lambda0, xi, refine):
         k = build_kernel(LatticeParams(half_width, w), lambda0, xi, refine=refine)
-        for got, want in zip(_rebuilt_couplings(k), _closed_form_couplings(k)):
-            # eigh rounds at about eps * |g|, whose row sums are ~20 on
-            # the coarse grid and ~40 on the refined one; untruncated factors
-            # err as much
-            norm = np.abs(want).sum(axis=1).max()
-            atol = 1e-14 if refine == 1.0 else 4 * np.finfo(float).eps * norm
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
-        assert k.left.shape[1] == k.right.shape[0] < len(k.grid.nodes_a)
+        _assert_factors_rebuild_couplings(k)
+
+    def test_factors_rebuild_couplings_at_large_w(self):
+        # N=3, W=16: the factor's accuracy must not depend on W
+        _assert_factors_rebuild_couplings(build_kernel(LatticeParams(1, 16.0), 0.0, 0.0))
 
     @pytest.mark.parametrize("half_width,w,lambda0,xi", BOND_POINTS)
     def test_matches_dense_bond(self, half_width, w, lambda0, xi):
