@@ -8,6 +8,7 @@ so it stays cheap up to N in the thousands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ class LatticeParams:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"half-width must be nonnegative, got {self.n}")
-        if not self.W > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.W}")
+        if not 0 < self.W < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.W}")
 
     @property
     def N(self) -> int:

@@ -5,12 +5,14 @@ magnitude, so everything is accumulated in signed log-sum-exp pools: each
 keeps a positive sum and a negative sum with a running-max shift, plus a sum
 of squares for the standard error, and one array holds every pool of a scan.
 A scan draws its signed log-determinants from one sample source per
-ensemble: band scans eigensolve dense draws (one spectrum per sample), GOE
-scans run the pivot recurrence of the Dumitriu-Edelman tridiagonal model
-(O(N) per sample and energy).  The normalized ratio D2^{-1} F2 is computed
-from common random numbers (one draw per sample serves every scan point) and
-its uncertainty comes from the delta method on the three correlated means;
-the delta variance is evaluated in the raw-moment form
+ensemble: band scans draw dense matrices, eigensolved once per sample at
+three or more energies and LU factored once per energy at one or two
+(`estimate_f2`), and GOE scans run the pivot recurrence of the
+Dumitriu-Edelman tridiagonal model (O(N) per sample and energy).  The
+normalized ratio D2^{-1} F2 is computed from common random numbers (one draw
+per sample serves every scan point) and its uncertainty comes from the delta
+method on the three correlated means; the delta variance is evaluated in the
+raw-moment form
 
     sum_i (A_i/SA - B_i/(2 SB) - C_i/(2 SC))^2
 
@@ -213,8 +215,9 @@ class ScanConfig:
 
     @property
     def sample_source(self) -> str:
-        """The draws behind the scan: "dense" band matrices, eigensolved, or
-        "dumitriu-edelman" tridiagonal GOE matrices."""
+        """The draws behind the scan: "dense" band matrices (eigensolved, or LU
+        factored at one or two energies), or "dumitriu-edelman" tridiagonal
+        GOE matrices."""
         return "dense" if self.lattice is not None else "dumitriu-edelman"
 
 
@@ -240,7 +243,13 @@ class _WorkerSpec:
     master_seed: int
 
 
-_SCAN_BLAS_THREADS = 1       # OpenBLAS threads of a scan's eigensolves
+_SCAN_BLAS_THREADS = 1       # OpenBLAS threads of a scan's eigensolves and LUs
+
+# Most energies at which a dense batch is factored by LU once per energy
+# rather than eigensolved once: on one BLAS thread an eigvalsh costs 3.0-5.8
+# LU factorisations (dgetrf) at N = 3..255, so LU wins at one or two
+# energies and loses about 4x at a 13-energy band scan.
+_LU_MAX_ENERGIES = 2
 
 
 @functools.cache
@@ -287,11 +296,23 @@ def _in_batches(count: int, step: int, batch) -> tuple[np.ndarray, np.ndarray]:
 
 def _dense_source(profile: np.ndarray, gen: np.random.Generator, count: int,
                   lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed log-dets of dense draws with variance profile J, one eigvalsh per batch."""
-    def batch(size):
-        return signed_logdets(np.linalg.eigvalsh(sample_symmetric(profile, size, gen)), lambdas)
+    """Signed log-dets of dense draws with variance profile J.
 
+    At up to _LU_MAX_ENERGIES energies each batch takes one batched LU
+    (np.linalg.slogdet) of lam - H per energy; at more, one eigvalsh per
+    matrix serves every energy.  Both routes make the same draws and return
+    (logs, int8 signs), with sign 0 and log -inf for an exactly zero
+    determinant.
+    """
     n = len(profile)
+
+    def batch(size):
+        h = sample_symmetric(profile, size, gen)
+        if len(lambdas) > _LU_MAX_ENERGIES:
+            return signed_logdets(np.linalg.eigvalsh(h), lambdas)
+        signs, logs = np.linalg.slogdet(lambdas[:, None, None] * np.eye(n) - h[:, None])
+        return logs, signs.astype(np.int8)
+
     with _one_blas_thread():
         return _in_batches(count, max(_CHUNK_ENTRIES // (n * n), 1), batch)
 
@@ -329,6 +350,8 @@ def _stream_counts(total: int, streams: int) -> list[int]:
 
 def _run_scan(config: ScanConfig, lambdas: tuple[float, ...],
               pairs: tuple[tuple[int, int], ...]) -> SignedAccumulator:
+    if not all(math.isfinite(lam) for lam in lambdas):
+        raise ValueError(f"energies must be finite, got {lambdas}")
     if config.lattice is not None:
         source = functools.partial(_dense_source, variance_profile(config.lattice))
     else:

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandmoments import cli, moments
 from bandmoments.cli import CheckRow, load_config_file, main
@@ -103,6 +105,36 @@ class TestConfigFile:
         assert total == 47
 
 
+# (count key, its default) for every count key of every command
+COUNT_KEYS = [(key, default) for _, _, defaults in cli._COMMANDS.values()
+              for key, default in defaults.items() if key in cli._COUNT_KEYS]
+
+
+class TestCountKeyCoercion:
+    """Property tests of cli._coerce on every count key of every command."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(value=st.integers(-10**6, 0))
+    def test_below_one_rejected(self, value):
+        for key, default in COUNT_KEYS:
+            with pytest.raises(ValueError, match=f"'{key}' must be at least 1"):
+                cli._coerce(key, default, str(value))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(value=st.integers(1, 10**6))
+    def test_integral_floats_parse(self, value):
+        for key, default in COUNT_KEYS:
+            for raw in (f"{value}.0", f"{value}e0", f"{value / 10}e1"):
+                assert cli._coerce(key, default, raw) == value
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(value=st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()))
+    def test_non_integral_floats_rejected(self, value):
+        for key, default in COUNT_KEYS:
+            with pytest.raises(ValueError, match=f"'{key}' needs an integer"):
+                cli._coerce(key, default, repr(value))
+
+
 class TestSpectrumCommand:
     def test_writes_schema_and_manifest(self, tmp_path):
         out = tmp_path / "spec"
@@ -169,6 +201,11 @@ class TestScanCommand:
         main(self.ARGS + ["--seed", "3", "--out", str(out1)])
         main(self.ARGS + ["--seed", "3", "--workers", "2", "--out", str(out2)])
         assert _read(out1 / "scan_f2.csv") == _read(out2 / "scan_f2.csv")
+
+    def test_infinite_bandwidth_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite, got inf"):
+            main(["scan-f2", "--ensemble", "band", "--half-width", "1", "--bandwidth", "inf",
+                  "--samples", "4", "--out", str(tmp_path / "inf")])
 
     def test_one_sample_rejected(self, tmp_path):
         out = tmp_path / "one"
@@ -262,7 +299,7 @@ class TestManifest:
                      "--out", str(tmp_path / "s")]) == 0
         manifest = json.loads(_read(tmp_path / "s" / "manifest.json"))
         assert manifest["environment"] == expected
-        # the dense band source eigensolves on one pinned BLAS thread; the
+        # the dense band source factors on one pinned BLAS thread; the
         # GOE's tridiagonal source runs no BLAS call
         assert main(["scan-f2", "--ensemble", "band", "--half-width", "3", "--bandwidth", "2",
                      "--samples", "40", "--xi-diffs", "0,1", "--out", str(tmp_path / "b")]) == 0

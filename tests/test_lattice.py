@@ -1,5 +1,7 @@
 """Lattice operators, variance profile, and the shared tridiagonal solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,11 @@ class TestVarianceProfile:
             LatticeParams(-1, 1.0)
         with pytest.raises(ValueError):
             LatticeParams(1, 0.0)
+
+    @pytest.mark.parametrize("w", [math.inf, math.nan])
+    def test_non_finite_bandwidth_rejected(self, w):
+        with pytest.raises(ValueError, match=f"bandwidth must be positive and finite, got {w}"):
+            LatticeParams(1, w)
 
 
 class TestTridiagonalSolve:

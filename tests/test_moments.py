@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandmoments import moments
+from bandmoments.ensemble import sample_symmetric
 from bandmoments.kernels import ds_kernel, rho
-from bandmoments.lattice import LatticeParams
+from bandmoments.lattice import LatticeParams, variance_profile
 from bandmoments.moments import (ScanConfig, SignedAccumulator, estimate_f2,
                                  estimate_ratio, f2_goe_exact, scaled_energies)
 
@@ -276,6 +277,48 @@ class TestF2GoeExact:
         assert stderr < 0.2 * abs(exact)
 
 
+class TestDenseSource:
+    """The LU route (up to two energies) against the eigensolve route (three or more)."""
+
+    @staticmethod
+    def _both_routes(n, seed, count, lam):
+        profile = variance_profile(LatticeParams(n, 1.5))
+        one = moments._dense_source(profile, np.random.default_rng(seed), count,
+                                    np.array([lam]))
+        three = moments._dense_source(profile, np.random.default_rng(seed), count,
+                                      np.array([lam, lam + 0.1, lam - 0.2]))
+        return one, three
+
+    @pytest.mark.parametrize("energies,route", [(1, "slogdet"), (2, "slogdet"),
+                                                (3, "eigvalsh")])
+    def test_route_follows_energy_count(self, energies, route, monkeypatch):
+        called = []
+        for name in ("slogdet", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _name=name, _real=real: called.append(_name) or _real(*a))
+        profile = variance_profile(LatticeParams(1, 1.5))
+        moments._dense_source(profile, np.random.default_rng(0), 5, np.linspace(0, 1, energies))
+        assert set(called) == {route}
+
+    @pytest.mark.parametrize("n", [0, 1, 4])   # N = 1, 3, 9
+    @pytest.mark.parametrize("lam", [0.0, 0.37, 1.0])
+    def test_routes_agree(self, n, lam):
+        (log_lu, sign_lu), (log_eig, sign_eig) = self._both_routes(n, 11, 1000, lam)
+        assert log_lu.shape == (1000, 1) and sign_lu.dtype == np.int8
+        assert sign_eig.dtype == np.int8
+        np.testing.assert_array_equal(sign_lu[:, 0], sign_eig[:, 0])
+        assert np.max(np.abs(log_lu[:, 0] - log_eig[:, 0])) <= 1e-9
+
+    def test_exact_hit_gives_zero_sign(self):
+        # at N=1 the matrix is its one drawn entry, so lam can hit it exactly
+        profile = variance_profile(LatticeParams(0, 1.5))
+        lam = float(sample_symmetric(profile, 1, np.random.default_rng(12))[0, 0, 0])
+        (log_lu, sign_lu), (log_eig, sign_eig) = self._both_routes(0, 12, 1, lam)
+        assert (sign_lu[0, 0], log_lu[0, 0]) == (0, -math.inf)
+        assert (sign_eig[0, 0], log_eig[0, 0]) == (0, -math.inf)
+
+
 class TestEstimateRatio:
     def test_diagonal_point_is_exactly_one(self):
         config = ScanConfig(lambda0=0.0, xi_pairs=((0.7, 0.7),),
@@ -341,15 +384,25 @@ class TestEstimateRatio:
         for a, b in zip(serial, parallel):
             assert (a.ratio, a.stderr) == (b.ratio, b.stderr)
 
-    def test_worker_partition_deterministic_at_blas_size(self):
-        # N=255 eigensolves of the dense band source are large enough for
+    @staticmethod
+    def _assert_worker_count_exact_at_blas_size(xi_pairs):
+        # N=255 factorisations of the dense band source are large enough for
         # OpenBLAS to split over threads.
-        configs = [ScanConfig(lambda0=0.0, xi_pairs=((0.5, -0.5),), num_samples=16,
+        configs = [ScanConfig(lambda0=0.0, xi_pairs=xi_pairs, num_samples=16,
                               master_seed=3, lattice=LatticeParams(127, 64.0),
                               num_streams=4, workers=w)
                    for w in (1, 2)]
-        serial, parallel = (estimate_ratio(c)[0] for c in configs)
-        assert (serial.ratio, serial.stderr) == (parallel.ratio, parallel.stderr)
+        serial, parallel = (estimate_ratio(c) for c in configs)
+        for a, b in zip(serial, parallel):
+            assert (a.ratio, a.stderr) == (b.ratio, b.stderr)
+
+    def test_worker_partition_deterministic_at_blas_size(self):
+        # one pair is two energies: the LU route
+        self._assert_worker_count_exact_at_blas_size(((0.5, -0.5),))
+
+    def test_worker_partition_deterministic_at_blas_size_eigensolve(self):
+        # two pairs are four energies: the eigensolve route
+        self._assert_worker_count_exact_at_blas_size(((0.5, -0.5), (1.0, -1.0)))
 
     def test_single_site_goe_scan(self):
         # N=1 has no off-diagonal: F2 = l1 l2 + 2 from one Gaussian per sample
@@ -391,6 +444,16 @@ class TestEstimateRatio:
         with pytest.raises(ValueError):
             ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=10,
                        master_seed=0, goe_size=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("ensemble", [dict(goe_size=4), dict(lattice=LatticeParams(1, 2.0))])
+    def test_non_finite_energy_rejected(self, bad, ensemble):
+        config = ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=10,
+                            master_seed=0, **ensemble)
+        with pytest.raises(ValueError, match="energies must be finite, got"):
+            estimate_f2(config, bad, bad)
+        with pytest.raises(ValueError, match="energies must be finite, got"):
+            estimate_f2(config, 0.1, bad)
 
     def test_one_sample_rejected(self):
         # one sample has no error bar: every row would read ratio +-1, flag ok
