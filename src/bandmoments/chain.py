@@ -51,8 +51,8 @@ class ChainParams:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"chain length must be at least 1, got {self.m}")
-        if not self.W > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.W}")
+        if not 0 < self.W < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.W}")
         if not complex(self.gamma).real > 0:
             raise ValueError(f"gamma must have positive real part, got {self.gamma}")
 

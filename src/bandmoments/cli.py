@@ -25,7 +25,7 @@ import scipy
 from . import __version__
 from .chain import (ChainParams, chain_log_asymptotic, chain_log_partition,
                     chain_logdet, chain_operator, tail_probability)
-from .ensemble import RngStream, goe_profile, sample_band
+from .ensemble import RngStream, goe_profile, sample_symmetric
 from .group_integrals import (TAYLOR_CUTOFF, HcizParams, hciz_sp2, hciz_u2,
                               mc_hciz_sp2, mc_hciz_u2, reduction_check,
                               u2_quadrature)
@@ -205,7 +205,7 @@ def cmd_spectrum(cfg: dict) -> int:
         profile = goe_profile(cfg["size"])
     else:
         profile = variance_profile(LatticeParams(cfg["half_width"], cfg["bandwidth"]))
-    eigs = np.concatenate([eigenvalues(sample_band(profile, RngStream(cfg["seed"], k)))
+    eigs = np.concatenate([eigenvalues(sample_symmetric(profile, 1, RngStream(cfg["seed"], k))[0])
                            for k in range(cfg["samples"])])
     edges = np.linspace(-2.5, 2.5, cfg["bins"] + 1)
     hist = ncm(eigs, edges)

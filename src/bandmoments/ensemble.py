@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["RngStream", "as_generator", "goe_profile",
-           "sample_symmetric", "sample_band", "sample_goe", "sample_goe_tridiagonal"]
+           "sample_symmetric", "sample_goe", "sample_goe_tridiagonal"]
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,6 @@ def sample_symmetric(profile: np.ndarray, count: int, rng) -> np.ndarray:
     idx = np.arange(n)
     h[:, idx, idx] = g[:, idx, idx] * np.sqrt(2.0 * np.diagonal(profile))
     return h
-
-
-def sample_band(profile: np.ndarray, rng) -> np.ndarray:
-    """One (N, N) draw of H for the variance profile J (see sample_symmetric)."""
-    return sample_symmetric(profile, 1, rng)[0]
 
 
 def sample_goe(N: int, rng) -> np.ndarray:

@@ -38,10 +38,12 @@ on one plane at the band centre (lambda0 = 0, xi = 0), whose site weights
 are stored real, and on M's real and imaginary planes elsewhere.  The bond
 is a symmetric matrix in ((a, b), (a', b')) and all sites are alike, so for
 odd N the chain integral is sum(site * m^2), m the message from one end
-into the middle site: (N - 1) / 2 bonds, not N - 1.  The a- and b-grids are
-staggered by half the smallest node gap, which keeps a - b (and with it the
-1/tt^3 cancellations) bounded away from zero; the site factor (a-b)^4
-suppresses the near-diagonal region those terms live on.
+into the middle site: (N - 1) / 2 bonds, not N - 1.  Both variables use one
+uniform grid of spacing h, weighted h per node (the trapezoid rule, spectrally
+accurate on this smooth, Gaussian-decaying integrand); the b-grid is the
+a-grid staggered by h/2, which keeps |a - b| >= h/2 (and with it the 1/tt^3
+cancellations) away from zero; the site factor (a-b)^4 suppresses the
+near-diagonal region those terms live on.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .lattice import (LatticeParams, TridiagonalOperator, neumann_laplacian,
                       tridiagonal_logdet)
 from .moments import MomentEstimate, ScanConfig, estimate_f2
 
-__all__ = ["Grid2D", "TransferKernel", "TransferResult", "GridOffsetError", "build_kernel",
+__all__ = ["Grid2D", "TransferKernel", "TransferResult", "build_kernel",
            "transfer_evaluate", "CrossValidation", "cross_validate"]
 
 # Node spacing target is 1/(spacing_factor * W); the grid reaches at least
@@ -66,26 +68,19 @@ __all__ = ["Grid2D", "TransferKernel", "TransferResult", "GridOffsetError", "bui
 _SPACING_FACTOR = 8.0
 _RADIUS_REACH = 6.5
 _RADIUS_PAD = 3.6
-_NODES_PER_PANEL = 6
-_MIN_NODE_GAP = 1e-6
 # Pivoted Cholesky of the couplings stops at pivots below this; the
 # Gaussian's diagonal is exactly 1, so the tolerance is absolute.
 _PIVOT_TOL = 1e-15
 
 
-class GridOffsetError(ValueError):
-    """Raised when staggering fails to keep the a- and b-nodes apart."""
-
-
 @dataclass(frozen=True)
 class Grid2D:
-    """Staggered product quadrature grid for the (a, b) plane."""
+    """Uniform product grid for the (a, b) plane; each node has weight `spacing`."""
 
     nodes_a: np.ndarray
-    weights_a: np.ndarray
-    nodes_b: np.ndarray       # the a-nodes shifted by offset, with the same weights
+    nodes_b: np.ndarray       # the a-nodes shifted by spacing / 2
+    spacing: float
     radius: float
-    offset: float
 
 
 @dataclass(frozen=True)
@@ -120,17 +115,6 @@ class TransferResult:
         return self.value.real
 
 
-def _composite_gauss_legendre(lo: float, hi: float, panel_width: float,
-                              nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    panels = max(int(math.ceil((hi - lo) / panel_width)), 1)
-    width = (hi - lo) / panels
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    starts = lo + width * np.arange(panels)
-    nodes = (starts[:, None] + 0.5 * width * (base_x[None, :] + 1.0)).ravel()
-    weights = np.tile(0.5 * width * base_w, panels)
-    return nodes, weights
-
-
 def _build_grid(params: LatticeParams, lambda0: float, refine: float) -> Grid2D:
     sd = saddle_data(lambda0)
     # A single site has no bond coupling: its integrand is W-independent, and
@@ -139,14 +123,11 @@ def _build_grid(params: LatticeParams, lambda0: float, refine: float) -> Grid2D:
     eff_w = 1.0 if params.N == 1 else params.W
     radius = sd.a_plus + max(_RADIUS_REACH / eff_w, _RADIUS_PAD)
     spacing = 1.0 / (_SPACING_FACTOR * eff_w * refine)
-    nodes_a, weights_a = _composite_gauss_legendre(
-        -radius, radius, _NODES_PER_PANEL * spacing, _NODES_PER_PANEL)
-    # b = a + half the minimal node gap, so min |a_i - b_j| equals the offset
-    offset = 0.5 * float(np.min(np.diff(nodes_a)))
-    if offset < _MIN_NODE_GAP:
-        raise GridOffsetError(
-            f"staggered grids leave |a - b| = {offset:.2e} < {_MIN_NODE_GAP:g}")
-    return Grid2D(nodes_a, weights_a, nodes_a + offset, radius, offset)
+    count = math.ceil(2.0 * radius / spacing)
+    h = 2.0 * radius / count
+    nodes_a = -radius + h * np.arange(count + 1)
+    # b = a + h/2, so min |a_i - b_j| = h/2
+    return Grid2D(nodes_a, nodes_a + 0.5 * h, h, radius)
 
 
 def _site_weights(grid: Grid2D, params: LatticeParams, lambda0: float, xi: float) -> np.ndarray:
@@ -158,8 +139,7 @@ def _site_weights(grid: Grid2D, params: LatticeParams, lambda0: float, xi: float
     eb = (b - half) * np.exp(-0.5 * (b + half) ** 2)
     phase = np.exp(-1j * xi * (a + b) / (params.N * rho(lambda0)))
     d = a - b
-    return (ea * eb * phase * d**4
-            * grid.weights_a[:, None] * grid.weights_a[None, :])
+    return ea * eb * phase * d**4 * grid.spacing**2
 
 
 def _coupling_factors(w2: float, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:

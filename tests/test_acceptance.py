@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bandmoments.cli import (chain_suite, hciz_suite, main, reduction_suite)
-from bandmoments.ensemble import RngStream, sample_band, sample_goe
+from bandmoments.ensemble import RngStream, sample_goe, sample_symmetric
 from bandmoments.kernels import saddle_data, saddle_f
 from bandmoments.lattice import LatticeParams, variance_profile
 from bandmoments.moments import ScanConfig, estimate_ratio
@@ -176,7 +176,7 @@ def test_a8_trend_toward_limit(band_scans):
 def _aggregate_ks(kind: str, size: int, count: int, seed: int) -> float:
     if kind == "band":
         profile = variance_profile(LatticeParams((size - 1) // 2, 64.0))
-        draws = [sample_band(profile, RngStream(seed, k)) for k in range(count)]
+        draws = [sample_symmetric(profile, 1, RngStream(seed, k))[0] for k in range(count)]
     else:
         draws = [sample_goe(size, RngStream(seed, k)) for k in range(count)]
     eigs = np.sort(np.concatenate([np.linalg.eigvalsh(d) for d in draws]))

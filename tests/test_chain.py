@@ -68,6 +68,9 @@ class TestChainLogdet:
             ChainParams(3, 1.0, -1.0)
         with pytest.raises(ValueError):
             ChainParams(3, 1.0, 1j)
+        for w in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+                ChainParams(3, w, 1.0)
 
 
 class TestChainAsymptotic:

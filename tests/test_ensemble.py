@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from bandmoments.ensemble import (RngStream, sample_band, sample_goe,
-                                  sample_goe_tridiagonal, sample_symmetric)
+from bandmoments.ensemble import (RngStream, sample_goe, sample_goe_tridiagonal,
+                                  sample_symmetric)
 from bandmoments.lattice import LatticeParams, variance_profile
 
 
 def _draw_band(n, w, count, seed):
     profile = variance_profile(LatticeParams(n, w))
-    gen = RngStream(seed).generator()
-    return np.stack([sample_band(profile, gen) for _ in range(count)]), profile
+    return sample_symmetric(profile, count, RngStream(seed).generator()), profile
 
 
 class TestSampleBand:
@@ -43,10 +42,10 @@ class TestSampleBand:
 
     def test_bit_reproducible(self):
         prof = variance_profile(LatticeParams(3, 2.0))
-        a = sample_band(prof, RngStream(42, 7))
-        b = sample_band(prof, RngStream(42, 7))
+        a = sample_symmetric(prof, 1, RngStream(42, 7))[0]
+        b = sample_symmetric(prof, 1, RngStream(42, 7))[0]
         np.testing.assert_array_equal(a, b)
-        c = sample_band(prof, RngStream(42, 8))
+        c = sample_symmetric(prof, 1, RngStream(42, 8))[0]
         assert np.any(a != c)
 
     def test_batch_matches_single_draws(self):
@@ -54,7 +53,7 @@ class TestSampleBand:
         prof = variance_profile(LatticeParams(3, 2.0))
         batch = sample_symmetric(prof, 4, RngStream(9).generator())
         gen = RngStream(9).generator()
-        singles = np.stack([sample_band(prof, gen) for _ in range(4)])
+        singles = np.stack([sample_symmetric(prof, 1, gen)[0] for _ in range(4)])
         np.testing.assert_array_equal(batch, singles)
 
 

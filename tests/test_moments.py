@@ -1,8 +1,6 @@
 """Moment estimation: accumulators, closed-form anchors, ratio scans."""
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,17 +218,6 @@ def _goe_two_by_two(l1, l2):
         sigmas=(1.0, 1.0, math.sqrt(0.5)))
 
 
-def _benchmark_oracles():
-    """The benchmark's independent GOE recurrence, or None outside a source checkout."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
-    if not path.is_file():
-        return None
-    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestF2GoeExact:
     ARGS = [(0.0, 0.0), (0.3, -0.7), (1.0, 1.0), (-1.7, 1.9)]
 
@@ -245,15 +232,24 @@ class TestF2GoeExact:
         assert sign * math.exp(log_abs) == pytest.approx(_goe_two_by_two(l1, l2), rel=1e-12)
 
     @pytest.mark.parametrize("N", [3, 16, 256, 4096])
-    def test_matches_benchmark_oracle(self, N):
-        oracles = _benchmark_oracles()
-        if oracles is None:
-            pytest.skip("perfbench/oracles.py is not in this checkout")
+    def test_matches_benchmark_oracle(self, N, oracles):
         for l1, l2 in self.ARGS[:3]:
             sign, log_abs = f2_goe_exact(l1, l2, N)
             ref_sign, ref_log = oracles.goe_log_f2(l1, l2, N)
             assert sign == ref_sign
             assert abs(math.expm1(log_abs - ref_log)) <= 1e-11
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(l1=st.floats(-2.5, 2.5), l2=st.floats(-2.5, 2.5), N=st.integers(1, 512))
+    def test_ratio_matches_benchmark_oracle(self, oracles, l1, l2, N):
+        # the normalised ratio lies in [-1, 1] (Cauchy-Schwarz), so an absolute
+        # bound stays meaningful where F2(l1, l2) itself crosses zero
+        s12, g12 = f2_goe_exact(l1, l2, N)
+        s11, g11 = f2_goe_exact(l1, l1, N)
+        s22, g22 = f2_goe_exact(l2, l2, N)
+        assert s11 == s22 == 1
+        ratio = s12 * math.exp(g12 - 0.5 * (g11 + g22))
+        assert abs(ratio - oracles.goe_ratio(l1, l2, N)) <= 1e-10
 
     def test_stays_finite_at_large_n(self):
         sign, log_abs = f2_goe_exact(0.1, 0.1, 4096)

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-import bandmoments.transfer as transfer
 from bandmoments.group_integrals import HcizParams, hciz_sp2
 from bandmoments.kernels import rho
 from bandmoments.lattice import LatticeParams
-from bandmoments.transfer import (Grid2D, GridOffsetError, _apply_bond,
-                                  _contract, _site_weights, build_kernel,
-                                  cross_validate, transfer_evaluate)
+from bandmoments.transfer import (Grid2D, _apply_bond, _contract,
+                                  _site_weights, build_kernel, cross_validate,
+                                  transfer_evaluate)
 
 
 def _closed_form_couplings(k):
@@ -61,6 +60,16 @@ class TestSingleSiteAnchor:
         assert result.imag_ratio < 1e-6
 
 
+class TestGaussHermiteAnchor:
+    @pytest.mark.parametrize("lambda0", [0.0, 1.0])
+    def test_three_sites_at_w2(self, oracles, lambda0):
+        # N=3 against the benchmark's exact Gauss-Hermite value, within the
+        # benchmark's 1e-6; the grid radius, not its spacing, sets the gap
+        result = transfer_evaluate(build_kernel(LatticeParams(1, 2.0), lambda0, 0.0))
+        exact = oracles.gauss_hermite_f2(lambda0, lambda0, oracles.band_profile(1, 2.0))
+        assert abs(result.f2 - exact) <= 1e-6 * abs(exact)
+
+
 class TestKernelStructure:
     def test_gaussian_couplings_symmetric(self):
         k = build_kernel(LatticeParams(1, 2.0), 0.3, 0.1)
@@ -74,13 +83,7 @@ class TestKernelStructure:
     def test_nodes_stay_apart(self):
         k = build_kernel(LatticeParams(1, 1.0), 0.0, 0.0)
         gaps = np.abs(k.grid.nodes_a[:, None] - k.grid.nodes_b[None, :])
-        assert gaps.min() >= k.grid.offset - 1e-15
-        assert gaps.min() > 1e-6
-
-    def test_offset_guard_raises(self, monkeypatch):
-        monkeypatch.setattr(transfer, "_MIN_NODE_GAP", 1.0)
-        with pytest.raises(GridOffsetError):
-            build_kernel(LatticeParams(1, 1.0), 0.0, 0.0)
+        assert gaps.min() == pytest.approx(k.grid.spacing / 2, rel=1e-12)
 
     def test_radius_covers_saddle_region(self):
         for w in (1.0, 2.0, 4.0):
@@ -95,7 +98,7 @@ class TestKernelStructure:
     def test_site_weights_even_for_centered_band(self):
         # w(a, b) = w(-a, -b) at lambda0 = 0, xi = 0
         nodes = np.array([-1.7, -0.6, -0.25, 0.25, 0.6, 1.7])
-        grid = Grid2D(nodes, np.ones(6), nodes, 2.0, 0.0)
+        grid = Grid2D(nodes, nodes, 1.0, 2.0)
         w = _site_weights(grid, LatticeParams(1, 1.0), 0.0, 0.0)
         np.testing.assert_allclose(w, w[::-1, ::-1], rtol=1e-13, atol=1e-16)
 
@@ -198,7 +201,7 @@ class TestRefinement:
     def test_cauchy_property(self):
         params = LatticeParams(1, 1.0)
         vals = [_contract(build_kernel(params, 0.0, 0.0, refine=r))
-                for r in (0.5, 1.0, 2.0)]
+                for r in (0.0625, 0.125, 0.25)]
         d1 = abs(vals[1] - vals[0])
         d2 = abs(vals[2] - vals[1])
         assert d1 > 0
