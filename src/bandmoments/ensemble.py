@@ -56,12 +56,13 @@ def sample_symmetric(profile: np.ndarray, count: int, rng) -> np.ndarray:
     of (n, n), so the batch size does not change the samples.
     """
     n = len(profile)
+    # root profile: sqrt(J) above the diagonal, sqrt(2 J)/2 on it, which the
+    # symmetrisation doubles (exactly, as a power of two); zero below
+    root = np.triu(np.sqrt(profile), k=1)
+    np.fill_diagonal(root, 0.5 * np.sqrt(2.0 * np.diagonal(profile)))
     g = as_generator(rng).standard_normal((count, n, n))
-    upper = np.triu(g * np.sqrt(profile), k=1)
-    h = upper + np.swapaxes(upper, 1, 2)
-    idx = np.arange(n)
-    h[:, idx, idx] = g[:, idx, idx] * np.sqrt(2.0 * np.diagonal(profile))
-    return h
+    g *= root
+    return g + np.swapaxes(g, 1, 2)
 
 
 def sample_goe(N: int, rng) -> np.ndarray:

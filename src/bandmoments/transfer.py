@@ -18,32 +18,26 @@ and bond kernel (tt = W^2 (a - b)(a' - b'))
     Gs = exp(-(W^2/2)((a-b')^2 + (b-a')^2)).
 
 The kernel is separable in the two variables.  On the grid, with the
-Gaussian couplings gaa[i, j] = exp(-W^2 (a_i - a_j)^2 / 2), gbb (the same
-on the b-grid) and gab[i, j] = exp(-W^2 (a_i - b_j)^2 / 2), one bond maps v
-to
+Gaussian couplings gaa[i, j] = exp(-W^2 (a_i - a_j)^2 / 2) and
+gab[i, j] = exp(-W^2 (a_i - b_j)^2 / 2), one bond maps v to
 
-    (6/W^4) (gaa M2 gbb + gab M2^T gab) / d^2
-        - (12/W^6) (gaa M3 gbb - gab M3^T gab) / d^3,   Mk = v / d^k,
+    (6/W^4) (gaa M2 gaa + gab M2^T gab) / d^2
+        - (12/W^6) (gaa M3 gaa - gab M3^T gab) / d^3,   Mk = v / d^k,
 
-with d = a - b taken entrywise.  The Gaussian on the union of both grids
-has a numerical rank r far below the grid size G (G/5 to 2G/5).  build_kernel
-factors it once by pivoted Cholesky, stopping at pivots below 1e-15 (its
-diagonal is exactly 1), and splits the factor's rows into La and Lb, so
-gaa = La La^T, gbb = Lb Lb^T and gab = La Lb^T.  With one r x r core
-T = La^T M Lb per term, a bond costs O(r G^2) in real products,
-
-    gaa M gbb +- gab M^T gab = La (T +- T^T) Lb^T,
-
-on one plane at the band centre (lambda0 = 0, xi = 0), whose site weights
-are stored real, and on M's real and imaginary planes elsewhere.  The bond
-is a symmetric matrix in ((a, b), (a', b')) and all sites are alike, so for
-odd N the chain integral is sum(site * m^2), m the message from one end
-into the middle site: (N - 1) / 2 bonds, not N - 1.  Both variables use one
-uniform grid of spacing h, weighted h per node (the trapezoid rule, spectrally
-accurate on this smooth, Gaussian-decaying integrand); the b-grid is the
-a-grid staggered by h/2, which keeps |a - b| >= h/2 (and with it the 1/tt^3
-cancellations) away from zero; the site factor (a-b)^4 suppresses the
-near-diagonal region those terms live on.
+with d = a - b taken entrywise.  Both variables use one uniform grid of
+spacing h, weighted h per node (the trapezoid rule, spectrally accurate on
+this smooth, Gaussian-decaying integrand, so the truncation radius, not the
+spacing, sets the error); the b-grid is the a-grid staggered by h/2, which
+keeps |a - b| >= h/2 (and with it the 1/tt^3 cancellations) away from zero,
+and the site factor (a-b)^4 suppresses the near-diagonal region those terms
+live on.  Sharing the spacing makes both couplings Toeplitz and the b-grid's
+own coupling equal to gaa, so build_kernel stores gaa and gab as two dense
+(G, G) matrices and a bond is eight real (G, G) products per plane: one
+plane at the band centre (lambda0 = 0, xi = 0), whose site weights are
+stored real, and M's real and imaginary planes elsewhere.  The bond is a
+symmetric matrix in ((a, b), (a', b')) and all sites are alike, so for odd N
+the chain integral is sum(site * m^2), m the message from one end into the
+middle site: (N - 1) / 2 bonds, not N - 1.
 """
 
 from __future__ import annotations
@@ -52,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf
 
 from .kernels import log_phase_factor, rho, saddle_data
 from .lattice import (LatticeParams, TridiagonalOperator, neumann_laplacian,
@@ -65,12 +58,9 @@ __all__ = ["Grid2D", "TransferKernel", "TransferResult", "build_kernel",
 # Node spacing target is 1/(spacing_factor * W); the grid reaches at least
 # this far beyond the saddle so single-site tails stay below the quadrature
 # error target.
-_SPACING_FACTOR = 8.0
+_SPACING_FACTOR = 2.0
 _RADIUS_REACH = 6.5
-_RADIUS_PAD = 3.6
-# Pivoted Cholesky of the couplings stops at pivots below this; the
-# Gaussian's diagonal is exactly 1, so the tolerance is absolute.
-_PIVOT_TOL = 1e-15
+_RADIUS_PAD = 4.6
 
 
 @dataclass(frozen=True)
@@ -95,14 +85,14 @@ class TransferKernel:
     site: np.ndarray          # w(a,b) * quadrature weights, (Ga, Gb); real at the band centre
     inv_d2: np.ndarray
     inv_d3: np.ndarray
-    la: np.ndarray            # (G, r): gaa = La La^T, gab = La Lb^T
-    lb: np.ndarray            # (G, r): gbb = Lb Lb^T
+    gaa: np.ndarray           # (G, G) a-a coupling, also the b-b one
+    gab: np.ndarray           # (G, G) a-b coupling
     log_prefactor_magnitude: float   # the prefactor itself is -exp(this)
 
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Transfer value of F2(lam, lam) with a refinement-based error estimate."""
+    """Transfer value of F2(lam, lam) with a truncation-and-spacing error estimate."""
 
     value: complex
     quadrature_error_estimate: float
@@ -115,13 +105,14 @@ class TransferResult:
         return self.value.real
 
 
-def _build_grid(params: LatticeParams, lambda0: float, refine: float) -> Grid2D:
+def _build_grid(params: LatticeParams, lambda0: float, refine: float,
+                widen: float) -> Grid2D:
     sd = saddle_data(lambda0)
     # A single site has no bond coupling: its integrand is W-independent, and
     # the exp(-f) tails alone set the truncation.  With bonds, joint
     # excursions of the whole chain pay N*f_star, so a smaller pad suffices.
     eff_w = 1.0 if params.N == 1 else params.W
-    radius = sd.a_plus + max(_RADIUS_REACH / eff_w, _RADIUS_PAD)
+    radius = sd.a_plus + max(_RADIUS_REACH / eff_w, _RADIUS_PAD) + widen
     spacing = 1.0 / (_SPACING_FACTOR * eff_w * refine)
     count = math.ceil(2.0 * radius / spacing)
     h = 2.0 * radius / count
@@ -142,24 +133,18 @@ def _site_weights(grid: Grid2D, params: LatticeParams, lambda0: float, xi: float
     return ea * eb * phase * d**4 * grid.spacing**2
 
 
-def _coupling_factors(w2: float, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    """La and Lb, the a- and b-rows of one pivoted Cholesky factor of the
-    Gaussian on the union of both grids."""
-    x = np.concatenate((grid.nodes_a, grid.nodes_b))
-    c, piv, rank, _ = dpstrf(np.exp(-0.5 * w2 * (x[:, None] - x[None, :]) ** 2),
-                             tol=_PIVOT_TOL, lower=1)
-    factor = np.empty((len(x), rank))
-    factor[piv - 1] = np.tril(c[:, :rank])   # P^T gram P = L L^T, piv 1-based
-    return tuple(np.split(factor, 2))
-
-
 def build_kernel(params: LatticeParams, lambda0: float, xi: float,
                  refine: float = 1.0) -> TransferKernel:
     """Assemble grid, site weights, bond couplings, and the global prefactor."""
-    grid = _build_grid(params, lambda0, refine)
+    return _kernel(params, lambda0, xi, refine, 0.0)
+
+
+def _kernel(params: LatticeParams, lambda0: float, xi: float, refine: float,
+            widen: float) -> TransferKernel:
+    """build_kernel on a grid whose radius is widened by `widen`."""
+    grid = _build_grid(params, lambda0, refine, widen)
     w2 = params.W**2
     a, b = grid.nodes_a, grid.nodes_b
-    la, lb = _coupling_factors(w2, grid)
     d = a[:, None] - b[None, :]
     lap = neumann_laplacian(params.N)
     profile_op = TridiagonalOperator(-w2 * lap.diagonal, -w2 * lap.offdiagonal)
@@ -172,19 +157,20 @@ def build_kernel(params: LatticeParams, lambda0: float, xi: float,
         params=params, lambda0=lambda0, xi=xi, refine=refine, grid=grid,
         site=site if site.imag.any() else site.real,
         inv_d2=d**-2.0, inv_d3=d**-3.0,
-        la=la, lb=lb,
+        gaa=np.exp(-0.5 * w2 * (a[:, None] - a[None, :]) ** 2),
+        gab=np.exp(-0.5 * w2 * d**2),
         log_prefactor_magnitude=log_pref)
 
 
 def _apply_bond(kernel: TransferKernel, v: np.ndarray) -> np.ndarray:
     """One bond of the chain (module docstring) applied to v, (G, G) real or complex."""
-    la, lb = kernel.la, kernel.lb
+    gaa, gab = kernel.gaa, kernel.gab
     planes = np.stack((v.real, v.imag)) if np.iscomplexobj(v) else v[None]  # real GEMMs
     out = np.zeros_like(planes)
     for inv_d, coeff, sign in ((kernel.inv_d2, 6.0 / kernel.params.W**4, 1.0),
                                (kernel.inv_d3, -12.0 / kernel.params.W**6, -1.0)):
-        core = la.T @ (planes * inv_d) @ lb          # T = La^T M Lb, (planes, r, r)
-        out += coeff * inv_d * (la @ (core + sign * core.transpose(0, 2, 1)) @ lb.T)
+        m = planes * inv_d
+        out += coeff * inv_d * (gaa @ m @ gaa + sign * (gab @ m.transpose(0, 2, 1) @ gab))
     return out[0] if len(out) == 1 else out[0] + 1j * out[1]
 
 
@@ -208,22 +194,26 @@ def _contract(kernel: TransferKernel) -> complex:
 def transfer_evaluate(kernel: TransferKernel) -> TransferResult:
     """Evaluate the chain contraction and estimate the quadrature error.
 
-    The error estimate is the change under one grid refinement (halved node
-    spacing); the returned value is the refined one.  F2 is real, so the
-    residual imaginary part doubles as a consistency diagnostic.
+    Three contractions: on the kernel's grid, on a grid of the same spacing
+    whose radius is widened by 1, and on that wider grid at 4/3 the spacing.
+    The returned value is the second; the error estimate is its distance
+    from the first (truncation) plus its distance from the third (spacing).
+    F2 is real, so the residual imaginary part doubles as a consistency
+    diagnostic.
     """
-    coarse = _contract(kernel)
-    fine_kernel = build_kernel(kernel.params, kernel.lambda0, kernel.xi,
-                               refine=2.0 * kernel.refine)
-    fine = _contract(fine_kernel)
-    err = abs(fine - coarse)
-    imag_ratio = abs(fine.imag) / max(abs(fine), 1e-300)
+    params, lambda0, xi, refine = kernel.params, kernel.lambda0, kernel.xi, kernel.refine
+    base = _contract(kernel)
+    wide_kernel = _kernel(params, lambda0, xi, refine, 1.0)
+    wide = _contract(wide_kernel)
+    coarse = _contract(_kernel(params, lambda0, xi, 0.75 * refine, 1.0))
+    err = abs(wide - base) + abs(wide - coarse)
+    imag_ratio = abs(wide.imag) / max(abs(wide), 1e-300)
     return TransferResult(
-        value=fine,
+        value=wide,
         quadrature_error_estimate=err,
-        log_prefactor_magnitude=fine_kernel.log_prefactor_magnitude,
+        log_prefactor_magnitude=wide_kernel.log_prefactor_magnitude,
         imag_ratio=imag_ratio,
-        converged=err <= 5e-3 * abs(fine),
+        converged=err <= 5e-3 * abs(wide),
     )
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from bandmoments.ensemble import (RngStream, sample_goe, sample_goe_tridiagonal,
-                                  sample_symmetric)
+from bandmoments.ensemble import (RngStream, goe_profile, sample_goe,
+                                  sample_goe_tridiagonal, sample_symmetric)
 from bandmoments.lattice import LatticeParams, variance_profile
 
 
@@ -47,6 +47,19 @@ class TestSampleBand:
         np.testing.assert_array_equal(a, b)
         c = sample_symmetric(prof, 1, RngStream(42, 8))[0]
         assert np.any(a != c)
+
+    @pytest.mark.parametrize("profile", [goe_profile(6), variance_profile(LatticeParams(3, 2.0))],
+                             ids=["goe", "band"])
+    def test_matches_three_pass_construction(self, profile):
+        # triangle, mirror, then diagonal rescale: the sampler must give
+        # the same bits from its single scaled draw
+        g = RngStream(11).generator().standard_normal((5, *profile.shape))
+        upper = np.triu(g * np.sqrt(profile), k=1)
+        want = upper + np.swapaxes(upper, 1, 2)
+        idx = np.arange(len(profile))
+        want[:, idx, idx] = g[:, idx, idx] * np.sqrt(2.0 * np.diagonal(profile))
+        got = sample_symmetric(profile, 5, RngStream(11).generator())
+        assert got.tobytes() == want.tobytes()
 
     def test_batch_matches_single_draws(self):
         # the scan samples in batches; the batch size must not change the draws

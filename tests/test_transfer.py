@@ -1,5 +1,6 @@
 """Transfer evaluation of F2 at equal arguments: anchors, oracles, refinement."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from bandmoments.group_integrals import HcizParams, hciz_sp2
 from bandmoments.kernels import rho
 from bandmoments.lattice import LatticeParams
-from bandmoments.transfer import (Grid2D, _apply_bond, _contract,
+from bandmoments.transfer import (Grid2D, _apply_bond, _contract, _kernel,
                                   _site_weights, build_kernel, cross_validate,
                                   transfer_evaluate)
 
@@ -19,11 +20,6 @@ def _closed_form_couplings(k):
     a, b = k.grid.nodes_a, k.grid.nodes_b
     return (np.exp(-0.5 * w2 * (a[:, None] - a[None, :]) ** 2),
             np.exp(-0.5 * w2 * (a[:, None] - b[None, :]) ** 2))
-
-
-def _rebuilt_couplings(k):
-    """gaa = La La^T and gab = La Lb^T from the kernel's factors."""
-    return k.la @ k.la.T, k.la @ k.lb.T
 
 
 def _sequential_contract(k):
@@ -63,18 +59,19 @@ class TestSingleSiteAnchor:
 class TestGaussHermiteAnchor:
     @pytest.mark.parametrize("lambda0", [0.0, 1.0])
     def test_three_sites_at_w2(self, oracles, lambda0):
-        # N=3 against the benchmark's exact Gauss-Hermite value, within the
-        # benchmark's 1e-6; the grid radius, not its spacing, sets the gap
+        # N=3 against the benchmark's exact Gauss-Hermite value; the grid
+        # radius, not its spacing, sets the gap, and it is wide enough that
+        # only rounding is left
         result = transfer_evaluate(build_kernel(LatticeParams(1, 2.0), lambda0, 0.0))
         exact = oracles.gauss_hermite_f2(lambda0, lambda0, oracles.band_profile(1, 2.0))
-        assert abs(result.f2 - exact) <= 1e-6 * abs(exact)
+        assert abs(result.f2 - exact) <= 1e-12 * abs(exact)
 
 
 class TestKernelStructure:
     def test_gaussian_couplings_symmetric(self):
         k = build_kernel(LatticeParams(1, 2.0), 0.3, 0.1)
-        gaa, _ = _rebuilt_couplings(k)
-        np.testing.assert_allclose(gaa, gaa.T, rtol=0.0, atol=1e-15)
+        gaa = k.gaa
+        np.testing.assert_array_equal(gaa, gaa.T)
         # the b-grid is the shifted a-grid, so its coupling is gaa itself
         b = k.grid.nodes_b
         gbb = np.exp(-0.5 * k.params.W**2 * (b[:, None] - b[None, :]) ** 2)
@@ -106,8 +103,7 @@ class TestKernelStructure:
         k = build_kernel(LatticeParams(1, 4.0), 0.0, 0.0)
         a = k.grid.nodes_a
         far = np.abs(a[:, None] - a[None, :]) > 1.0
-        gaa, _ = _rebuilt_couplings(k)
-        assert np.max(gaa[far]) < 1e-3
+        assert np.max(k.gaa[far]) < 1e-3
 
 
 BOND_POINTS = [(1, 1.0, 0.0, 0.0), (1, 2.0, 1.0, 0.7), (4, 4.0, 1.5, -0.5),
@@ -115,15 +111,14 @@ BOND_POINTS = [(1, 1.0, 0.0, 0.0), (1, 2.0, 1.0, 0.7), (4, 4.0, 1.5, -0.5),
 
 
 def _assert_factors_rebuild_couplings(k):
-    # the pivoted Cholesky stops at pivots below 1e-15, so the rebuilt
-    # couplings err by about that much at any W, refinement and stagger
+    # the bond factors into one-variable couplings: gaa on both grids (they
+    # share the spacing) and gab across them
+    gaa, gab = _closed_form_couplings(k)
+    np.testing.assert_allclose(k.gaa, gaa, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(k.gab, gab, rtol=1e-15, atol=0.0)
     b = k.grid.nodes_b
     gbb = np.exp(-0.5 * k.params.W**2 * (b[:, None] - b[None, :]) ** 2)
-    for got, want in zip((*_rebuilt_couplings(k), k.lb @ k.lb.T),
-                         (*_closed_form_couplings(k), gbb)):
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=5e-15)
-    assert k.la.shape == k.lb.shape
-    assert k.la.shape[1] < len(k.grid.nodes_a)
+    np.testing.assert_allclose(gbb, k.gaa, rtol=0.0, atol=1e-14)
 
 
 class TestFactoredBond:
@@ -134,7 +129,7 @@ class TestFactoredBond:
         _assert_factors_rebuild_couplings(k)
 
     def test_factors_rebuild_couplings_at_large_w(self):
-        # N=3, W=16: the factor's accuracy must not depend on W
+        # N=3, W=16: the couplings' accuracy must not depend on W
         _assert_factors_rebuild_couplings(build_kernel(LatticeParams(1, 16.0), 0.0, 0.0))
 
     @pytest.mark.parametrize("half_width,w,lambda0,xi", BOND_POINTS)
@@ -144,7 +139,7 @@ class TestFactoredBond:
         v = k.site * (gen.standard_normal(k.site.shape) + 1j * gen.standard_normal(k.site.shape))
         # the chain multiplies each bond's output by the site weight at once;
         # that weight's (a-b)^4 cancels the 1/d^3 that turns rounding in
-        # either formula into ~1e-9 relative noise at the smallest |a - b|
+        # either formula into relative noise at the smallest |a - b|
         got = _apply_bond(k, v) * k.site
         want = _dense_bond(k, v) * k.site
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -164,7 +159,7 @@ class TestDenseKernelOracle:
     def test_contraction_matches_dense_hciz_kernel(self):
         # three-site chain contracted against a dense kernel built entry by
         # entry from the independently validated Sp(2) closed form
-        k = build_kernel(LatticeParams(1, 2.0), 0.5, 0.3, refine=0.125)
+        k = build_kernel(LatticeParams(1, 2.0), 0.5, 0.3, refine=0.5)
         w2 = k.params.W**2
         a, b = k.grid.nodes_a, k.grid.nodes_b
         ga, gb = np.meshgrid(a, b, indexing="ij")
@@ -201,19 +196,40 @@ class TestRefinement:
     def test_cauchy_property(self):
         params = LatticeParams(1, 1.0)
         vals = [_contract(build_kernel(params, 0.0, 0.0, refine=r))
-                for r in (0.0625, 0.125, 0.25)]
+                for r in (0.25, 0.5, 1.0)]
         d1 = abs(vals[1] - vals[0])
         d2 = abs(vals[2] - vals[1])
         assert d1 > 0
         assert d2 <= d1 / 4.0 or d1 < 1e-12 * abs(vals[2])
 
     def test_error_estimate_brackets_refinement_gap(self):
-        k = build_kernel(LatticeParams(1, 1.0), 0.0, 0.0)
+        # the value is taken on a radius widened by 1; the estimate adds its
+        # gaps to the caller's radius and to 4/3 the spacing on the wide one
+        params = LatticeParams(1, 1.0)
+        k = build_kernel(params, 0.0, 0.0)
         result = transfer_evaluate(k)
-        coarse = _contract(k)
-        assert abs(result.value - coarse) == pytest.approx(
-            result.quadrature_error_estimate)
+        wide = _contract(_kernel(params, 0.0, 0.0, 1.0, 1.0))
+        coarse = _contract(_kernel(params, 0.0, 0.0, 0.75, 1.0))
+        assert result.value == wide
+        assert result.quadrature_error_estimate == pytest.approx(
+            abs(wide - _contract(k)) + abs(wide - coarse))
         assert result.converged
+
+
+HONEST_POINTS = list(itertools.product((1, 3), (1.0, 2.0, 4.0), (0.0, 1.0), (0.0, 0.5)))
+
+
+class TestHonestErrorEstimate:
+    @pytest.mark.parametrize("n,w,lambda0,xi", HONEST_POINTS)
+    def test_estimate_bounds_gauss_hermite_gap(self, oracles, n, w, lambda0, xi):
+        # the estimate must cover the true error, truncation included; the
+        # floor allows for rounding where the estimate itself is rounding
+        params = LatticeParams(n // 2, w)
+        result = transfer_evaluate(build_kernel(params, lambda0, xi))
+        lam = lambda0 + xi / (n * rho(lambda0))
+        exact = oracles.gauss_hermite_f2(lam, lam, oracles.band_profile(n // 2, w))
+        assert abs(result.f2 - exact) <= max(result.quadrature_error_estimate,
+                                             1e-13 * abs(exact))
 
 
 class TestCrossValidate:
