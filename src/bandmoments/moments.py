@@ -1,23 +1,22 @@
 """Monte Carlo estimation of second characteristic-polynomial moments.
 
 Per-sample contributions det(l1 - H) det(l2 - H) span thousands of orders of
-magnitude, so everything is accumulated in signed log-sum-exp pools: each
-keeps a positive sum and a negative sum with a running-max shift, plus a sum
-of squares for the standard error, and one array holds every pool of a scan.
-A scan draws its signed log-determinants from one sample source per
-ensemble: band scans draw dense matrices, eigensolved once per sample at
-three or more energies and LU factored once per energy at one or two
-(`estimate_f2`), and GOE scans run the pivot recurrence of the
-Dumitriu-Edelman tridiagonal model (O(N) per sample and energy).  The
+magnitude, so sums are kept in log space (SignedAccumulator).  A scan draws
+its signed log-determinants from one sample source per ensemble: band scans
+draw dense matrices, eigensolved once per sample at three or more energies
+and LU factored once per energy at one or two (`estimate_f2`), and GOE scans
+run the pivot recurrence of the Dumitriu-Edelman tridiagonal model (O(N) per
+sample and energy).  Each substream returns its per-sample signed log-dets,
+concatenated in stream order, so no result depends on the worker count.  The
 normalized ratio D2^{-1} F2 is computed from common random numbers (one draw
-per sample serves every scan point) and its uncertainty comes from the delta
-method on the three correlated means; the delta variance is evaluated in the
-raw-moment form
+per sample serves every scan point), and its uncertainty comes from the delta
+method on the means of A = det1 det2, B = det1^2 and C = det2^2, summed over
+the samples as
 
     sum_i (A_i/SA - B_i/(2 SB) - C_i/(2 SC))^2
 
-expanded into six second-moment pools, which keeps the centering terms from
-cancelling catastrophically and is exactly zero on diagonal points.
+whose terms are normalised weights exp(log - log|S|): nothing cancels
+catastrophically, and the sum is exactly zero on diagonal points.
 `f2_goe_exact` gives the exact GOE value the GOE estimates are checked
 against.
 """
@@ -67,69 +66,49 @@ def scaled_energies(lambda0: float, xi1: float, xi2: float, N: int) -> tuple[flo
     return lambda0 + xi1 * scale, lambda0 + xi2 * scale
 
 
-def _base(shift: np.ndarray) -> np.ndarray:
-    """shift with 0 for the -inf of an empty sum, so exp(-inf - base) is 0, not NaN."""
-    return np.where(shift > -math.inf, shift, 0.0)
-
-
-def _combine(shift_a, total_a, shift_b, total_b) -> tuple[np.ndarray, np.ndarray]:
-    """(shift, total) of the sum of two log-space sums shift + log(total)."""
-    shift = np.maximum(shift_a, shift_b)
-    base = _base(shift)
-    return shift, total_a * np.exp(shift_a - base) + total_b * np.exp(shift_b - base)
-
-
 class SignedAccumulator:
-    """Signed streaming sums of sign * exp(log) terms over an array of pools.
+    """Signed streaming sum of sign * exp(log) terms, kept in log space.
 
-    Each pool of the `shape`-shaped array keeps a positive sum, a negative sum
-    and a sum of squares, each as shift + log(total) with a running-max shift.
-    Indexing with a full index gives one pool, which has the scalar methods.
+    Holds the logs of the positive sum, the negative sum and the sum of
+    squares (-inf while empty); each batch and each merge is combined into
+    them by np.logaddexp.
     """
 
-    def __init__(self, shape: tuple[int, ...] = ()):
-        # first axis: positive sum, negative sum, sum of squares
-        self.shift = np.full((3, *shape), -math.inf)
-        self.total = np.zeros((3, *shape))
+    def __init__(self):
+        self.log_totals = np.full(3, -math.inf)
         self.count = 0
 
     def add_many(self, signs, logs) -> None:
-        """Add the terms signs * exp(logs), both of shape (count, *shape).
+        """Add the terms signs * exp(logs), both of shape (count,).
 
         A zero sign or a -inf log is a zero term: counted, but adding nothing.
         """
         signs = np.asarray(signs)
         logs = np.asarray(logs, dtype=float)
-        if signs.shape != logs.shape or logs.shape[1:] != self.shift.shape[1:]:
-            raise ValueError(f"expected signs and logs of shape (count, "
-                             f"*{self.shift.shape[1:]}), got {signs.shape}, {logs.shape}")
+        if logs.ndim != 1 or signs.shape != logs.shape:
+            raise ValueError(f"expected signs and logs of shape (count,), "
+                             f"got {signs.shape}, {logs.shape}")
         if not np.max(logs, initial=-math.inf) < math.inf:  # NaN fails too
             raise ValueError("log terms must be finite or -inf")
         terms = np.array([np.where(signs > 0, logs, -math.inf),
                           np.where(signs < 0, logs, -math.inf),
                           np.where(signs != 0, 2.0 * logs, -math.inf)])
         shift = np.max(terms, axis=1, initial=-math.inf)
-        total = np.sum(np.exp(terms - _base(shift)[:, None]), axis=1)
-        self.shift, self.total = _combine(self.shift, self.total, shift, total)
+        shift[shift == -math.inf] = 0.0   # an empty sum: exp(-inf - 0) is 0, not NaN
+        total = np.sum(np.exp(terms - shift[:, None]), axis=1)
+        batch = shift + np.log(total, out=np.full(3, -math.inf), where=total > 0.0)
+        self.log_totals = np.logaddexp(self.log_totals, batch)
         self.count += len(logs)
 
     def merge(self, other: "SignedAccumulator") -> "SignedAccumulator":
         merged = SignedAccumulator()
-        merged.shift, merged.total = _combine(self.shift, self.total,
-                                              other.shift, other.total)
+        merged.log_totals = np.logaddexp(self.log_totals, other.log_totals)
         merged.count = self.count + other.count
         return merged
 
-    def __getitem__(self, index) -> "SignedAccumulator":
-        index = (slice(None), *(index if isinstance(index, tuple) else (index,)))
-        part = SignedAccumulator()
-        part.shift, part.total, part.count = self.shift[index], self.total[index], self.count
-        return part
-
     def log_sums(self) -> tuple[float, float, float]:
         """Logs of the positive sum, the negative sum and the sum of squares (-inf if empty)."""
-        return tuple(s + math.log(t) if t > 0.0 else -math.inf
-                     for s, t in zip(self.shift.tolist(), self.total.tolist()))
+        return tuple(self.log_totals.tolist())
 
     def signed_log_sum(self) -> tuple[int, float]:
         """(sign, log|sum|) of the accumulated signed total."""
@@ -203,6 +182,10 @@ class ScanConfig:
             raise ValueError(f"sample count must be at least 2, got {self.num_samples}")
         if self.num_streams < 1:
             raise ValueError(f"stream count must be at least 1, got {self.num_streams}")
+        if self.workers < 1:
+            raise ValueError(f"worker count must be at least 1, got {self.workers}")
+        if not self.xi_pairs:
+            raise ValueError("a scan needs at least one xi pair")
         if self.goe_size is not None and self.goe_size < 1:
             raise ValueError(f"GOE size must be at least 1, got {self.goe_size}")
         if (self.lattice is None) == (self.goe_size is None):
@@ -239,7 +222,6 @@ class _WorkerSpec:
     # picklable, so pool workers receive it with the spec
     source: Callable[[np.random.Generator, int, np.ndarray], tuple[np.ndarray, np.ndarray]]
     lambdas: np.ndarray
-    pairs: np.ndarray             # (rows, 2) indices into lambdas
     master_seed: int
 
 
@@ -326,21 +308,11 @@ def _tridiagonal_source(N: int, gen: np.random.Generator, count: int,
     return _in_batches(count, max(_CHUNK_ENTRIES // N, 1), batch)
 
 
-def _scan_stream(args: tuple[_WorkerSpec, int, int]) -> SignedAccumulator:
-    """One substream's pools, shape (6, rows): per scan row with energies
-    (l1, l2), A = det1 det2, B = det1^2, C = det2^2 and the products AB, AC, BC.
-    """
+def _scan_stream(args: tuple[_WorkerSpec, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """One substream's (logs, int8 signs), each of shape (count, len(lambdas))."""
     spec, stream_index, count = args
-    gen = RngStream(spec.master_seed, stream_index).generator()
-    logd, signs = spec.source(gen, count, spec.lambdas)
-    i1, i2 = spec.pairs[:, 0], spec.pairs[:, 1]
-    la, lb, lc = logd[:, i1] + logd[:, i2], 2.0 * logd[:, i1], 2.0 * logd[:, i2]
-    sa = signs[:, i1] * signs[:, i2]
-    sb, sc = (signs[:, i1] != 0).astype(np.int8), (signs[:, i2] != 0).astype(np.int8)
-    pools = SignedAccumulator((6, len(i1)))
-    pools.add_many(np.stack([sa, sb, sc, sa * sb, sa * sc, sb * sc], axis=1),
-                   np.stack([la, lb, lc, la + lb, la + lc, lb + lc], axis=1))
-    return pools
+    return spec.source(RngStream(spec.master_seed, stream_index).generator(), count,
+                       spec.lambdas)
 
 
 def _stream_counts(total: int, streams: int) -> list[int]:
@@ -348,36 +320,31 @@ def _stream_counts(total: int, streams: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(streams)]
 
 
-def _run_scan(config: ScanConfig, lambdas: tuple[float, ...],
-              pairs: tuple[tuple[int, int], ...]) -> SignedAccumulator:
+def _run_scan(config: ScanConfig,
+              lambdas: tuple[float, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every substream's (logs, int8 signs) at the energies, in stream order."""
     if not all(math.isfinite(lam) for lam in lambdas):
         raise ValueError(f"energies must be finite, got {lambdas}")
     if config.lattice is not None:
         source = functools.partial(_dense_source, variance_profile(config.lattice))
     else:
         source = functools.partial(_tridiagonal_source, config.goe_size)
-    spec = _WorkerSpec(source, np.asarray(lambdas),
-                       np.asarray(pairs, dtype=int).reshape(-1, 2), config.master_seed)
+    spec = _WorkerSpec(source, np.asarray(lambdas), config.master_seed)
     counts = _stream_counts(config.num_samples, config.num_streams)
     tasks = [(spec, i, c) for i, c in enumerate(counts) if c > 0]
-    if config.workers <= 1 or len(tasks) == 1:
-        results = [_scan_stream(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as ex:
-            results = list(ex.map(_scan_stream, tasks))
-    merged = results[0]
-    for r in results[1:]:
-        merged = merged.merge(r)
-    return merged
+    if config.workers == 1 or len(tasks) == 1:
+        return [_scan_stream(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=config.workers) as ex:
+        return list(ex.map(_scan_stream, tasks))
 
 
 def estimate_f2(config: ScanConfig, lambda1: float, lambda2: float) -> MomentEstimate:
     """Monte Carlo estimate of E[det(lambda1 - H) det(lambda2 - H)]."""
-    if lambda1 == lambda2:
-        lambdas, pairs = (lambda1,), ((0, 0),)
-    else:
-        lambdas, pairs = (lambda1, lambda2), ((0, 1),)
-    return _run_scan(config, lambdas, pairs)[0, 0].estimate()
+    i2 = 0 if lambda1 == lambda2 else 1      # equal arguments: one energy
+    acc = SignedAccumulator()
+    for logs, signs in _run_scan(config, (lambda1, lambda2)[:i2 + 1]):
+        acc.add_many(signs[:, 0] * signs[:, i2], logs[:, 0] + logs[:, i2])
+    return acc.estimate()
 
 
 def f2_goe_exact(l1: float, l2: float, N: int) -> tuple[int, float]:
@@ -413,57 +380,35 @@ def f2_goe_exact(l1: float, l2: float, N: int) -> tuple[int, float]:
     return (1 if f2 > 0.0 else -1), math.log(abs(f2)) + exponent * math.log(2.0)
 
 
-def _signed_sum(terms: list[tuple[float, float]]) -> float:
-    """Sum of sign*exp(log) pairs, evaluated against the common max exponent."""
-    m = max((lg for _, lg in terms if lg > -math.inf), default=-math.inf)
-    if m == -math.inf:
-        return 0.0
-    return math.exp(m) * math.fsum(sgn * math.exp(lg - m) for sgn, lg in terms)
-
-
 def estimate_ratio(config: ScanConfig) -> list[ScanRow]:
     """Scan of D2^{-1} F2 over the configured xi pairs, with DS references.
 
     All scan points share one sample set (common random numbers), which makes
     diagonal rows exactly 1 and the scan exactly symmetric under xi1 <-> xi2.
     """
-    xi_values: list[float] = []
-    index: dict[float, int] = {}
-    for a, b in config.xi_pairs:
-        for x in (a, b):
-            if x not in index:
-                index[x] = len(xi_values)
-                xi_values.append(x)
-    lam_of = {x: scaled_energies(config.lambda0, x, x, config.N)[0] for x in xi_values}
-    lambdas = tuple(lam_of[x] for x in xi_values)
-    pairs = tuple((index[a], index[b]) for a, b in config.xi_pairs)
-
-    pools = _run_scan(config, lambdas, pairs)
+    xi_values = list(dict.fromkeys(x for pair in config.xi_pairs for x in pair))
+    index = {x: k for k, x in enumerate(xi_values)}
+    lambdas = tuple(scaled_energies(config.lambda0, x, x, config.N)[0] for x in xi_values)
+    logs, signs = (np.concatenate(parts) for parts in zip(*_run_scan(config, lambdas)))
 
     rows = []
-    for r, (xi1, xi2) in enumerate(config.xi_pairs):
-        acc_a, acc_b, acc_c, acc_ab, acc_ac, acc_bc = (pools[k, r] for k in range(6))
-        sa, la = acc_a.signed_log_sum()
-        sb, lb = acc_b.signed_log_sum()
-        sc, lc = acc_c.signed_log_sum()
+    for xi1, xi2 in config.xi_pairs:
+        i1, i2 = index[xi1], index[xi2]
         ds_ref = float(ds_kernel(math.pi * (xi1 - xi2)))
+        # A = det1 det2, B = det1^2, C = det2^2 per sample
+        s12 = signs[:, i1] * signs[:, i2]
+        la, lb, lc = logs[:, i1] + logs[:, i2], 2.0 * logs[:, i1], 2.0 * logs[:, i2]
+        accs = [SignedAccumulator() for _ in range(3)]
+        for acc, sgn, lg in zip(accs, (s12, signs[:, i1] != 0, signs[:, i2] != 0), (la, lb, lc)):
+            acc.add_many(sgn, lg)
+        (sa, log_a), (sb, log_b), (sc, log_c) = (acc.signed_log_sum() for acc in accs)
         if sb != 1 or sc != 1 or sa == 0:
             rows.append(ScanRow(xi1, xi2, math.nan, math.nan, ds_ref, "sign_unresolved"))
             continue
-        ratio = sa * math.exp(la - 0.5 * (lb + lc))
-        sab, lab = acc_ab.signed_log_sum()
-        sac, lac = acc_ac.signed_log_sum()
-        sbc, lbc = acc_bc.signed_log_sum()
-        terms = [
-            (1.0, acc_a.log_sums()[2] - 2.0 * la),
-            (0.25, acc_b.log_sums()[2] - 2.0 * lb),
-            (0.25, acc_c.log_sums()[2] - 2.0 * lc),
-            (-1.0 * sab * sa * sb, lab - la - lb),
-            (-1.0 * sac * sa * sc, lac - la - lc),
-            (0.5 * sbc * sb * sc, lbc - lb - lc),
-        ]
-        relvar = max(_signed_sum(terms), 0.0)
-        stderr = abs(ratio) * math.sqrt(relvar)
-        flag = "ok" if acc_a.estimate().sign_resolved else "sign_unresolved"
+        ratio = sa * math.exp(log_a - 0.5 * (log_b + log_c))
+        # delta method: u_i = A_i/S_A - B_i/(2 S_B) - C_i/(2 S_C), summing to zero
+        u = sa * s12 * np.exp(la - log_a) - 0.5 * (np.exp(lb - log_b) + np.exp(lc - log_c))
+        stderr = abs(ratio) * math.sqrt(float(np.sum(u * u)))
+        flag = "ok" if accs[0].estimate().sign_resolved else "sign_unresolved"
         rows.append(ScanRow(xi1, xi2, ratio, stderr, ds_ref, flag))
     return rows

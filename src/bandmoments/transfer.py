@@ -50,7 +50,7 @@ import numpy as np
 from .kernels import log_phase_factor, rho, saddle_data
 from .lattice import (LatticeParams, TridiagonalOperator, neumann_laplacian,
                       tridiagonal_logdet)
-from .moments import MomentEstimate, ScanConfig, estimate_f2
+from .moments import MomentEstimate, ScanConfig, estimate_f2, scaled_energies
 
 __all__ = ["Grid2D", "TransferKernel", "TransferResult", "build_kernel",
            "transfer_evaluate", "CrossValidation", "cross_validate"]
@@ -234,7 +234,7 @@ def cross_validate(params: LatticeParams, lambda0: float, xi: float,
                    mc_samples: int, master_seed: int = 0,
                    workers: int = 1) -> CrossValidation:
     """Run both routes to F2(lam, lam) and report the z-score of their gap."""
-    lam = lambda0 + xi / (params.N * rho(lambda0))
+    lam = scaled_energies(lambda0, xi, xi, params.N)[0]
     result = transfer_evaluate(build_kernel(params, lambda0, xi))
     config = ScanConfig(lambda0=lambda0, xi_pairs=((xi, xi),),
                         num_samples=mc_samples, master_seed=master_seed,

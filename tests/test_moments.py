@@ -121,7 +121,6 @@ class TestSignedAccumulator:
 
     def test_logsumexp_empty(self):
         assert SignedAccumulator().log_sums() == (-math.inf,) * 3
-        assert SignedAccumulator((2, 3))[1, 2].log_sums() == (-math.inf,) * 3
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_nan_and_positive_infinity(self, bad):
@@ -129,16 +128,10 @@ class TestSignedAccumulator:
         with pytest.raises(ValueError):
             acc.add_many(np.array([1, 1, 1]), np.array([0.0, bad, 0.0]))
 
-    def test_array_pools_match_scalar_pools(self):
-        signs, logs = _random_contributions(600)
-        signs, logs = signs.reshape(200, 3), logs.reshape(200, 3)
-        pools = SignedAccumulator((3,))
-        pools.add_many(signs, logs)
-        for k in range(3):
-            single = SignedAccumulator()
-            single.add_many(signs[:, k], logs[:, k])
-            assert pools[k].log_sums() == single.log_sums()
-            assert pools[k].count == single.count
+    def test_rejects_two_dimensional_terms(self):
+        signs, logs = _random_contributions(6)
+        with pytest.raises(ValueError, match="shape"):
+            SignedAccumulator().add_many(signs.reshape(3, 2), logs.reshape(3, 2))
 
 
 def _hermgauss_expect(fn, sigmas, nodes=24):
@@ -177,13 +170,11 @@ class TestEstimateF2:
         est = estimate_f2(config, 0.4, 0.4)
         assert est.sign == 1
         assert est.sign_resolved
-        # every per-sample contribution is a square: the negative sum is
-        # empty and the positive sum equals that of the squares pool B
-        pools = _run_scan(config, (0.4,), ((0, 0),))
-        pos, neg, _ = pools[0, 0].log_sums()
-        assert neg == -math.inf
-        assert pos == pools[1, 0].log_sums()[0]
-        assert pools[0, 0].count == 500
+        # every per-sample contribution det^2 is a square: no sign is negative
+        streams = _run_scan(config, (0.4,))
+        signs = np.concatenate([s for _, s in streams])[:, 0]
+        assert len(signs) == 500
+        assert np.all(signs * signs >= 0)
 
     def test_goe_two_by_two_against_quadrature(self):
         lam = 3.0
@@ -368,6 +359,21 @@ class TestEstimateRatio:
         assert row.stderr < 0.01
         assert abs(row.ratio - exact) < 4.0 * row.stderr
 
+    def test_stderr_is_delta_method_over_samples(self):
+        # the error bar, rebuilt in plain floats from the per-sample determinants
+        from bandmoments.moments import _run_scan
+        xi1, xi2 = 0.2, -0.3
+        config = ScanConfig(lambda0=0.0, xi_pairs=((xi1, xi2),), num_samples=5000,
+                            master_seed=10, goe_size=2)
+        streams = _run_scan(config, scaled_energies(0.0, xi1, xi2, 2))
+        logs, signs = (np.concatenate(parts) for parts in zip(*streams))
+        d1, d2 = (signs[:, k] * np.exp(logs[:, k]) for k in (0, 1))
+        a, b, c = d1 * d2, d1**2, d2**2
+        u = a / a.mean() - b / (2.0 * b.mean()) - c / (2.0 * c.mean())
+        row = estimate_ratio(config)[0]
+        assert row.stderr == pytest.approx(abs(row.ratio) * math.sqrt(np.var(u) / len(u)),
+                                           rel=1e-12)
+
     def test_worker_partition_deterministic(self):
         config = ScanConfig(lambda0=0.0, xi_pairs=((0.5, -0.5), (1.0, -1.0)),
                             num_samples=600, master_seed=8, goe_size=8,
@@ -450,6 +456,17 @@ class TestEstimateRatio:
             estimate_f2(config, bad, bad)
         with pytest.raises(ValueError, match="energies must be finite, got"):
             estimate_f2(config, 0.1, bad)
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"worker count must be at least 1, got {workers}"):
+            ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=10,
+                       master_seed=0, goe_size=8, workers=workers)
+
+    def test_empty_xi_pairs_rejected(self):
+        # an empty scan would return no rows instead of failing
+        with pytest.raises(ValueError, match="at least one xi pair"):
+            ScanConfig(lambda0=0.0, xi_pairs=(), num_samples=10, master_seed=0, goe_size=8)
 
     def test_one_sample_rejected(self):
         # one sample has no error bar: every row would read ratio +-1, flag ok
