@@ -247,9 +247,10 @@ def _box_eigenvalues(gen, count: int, box: float, t: float, d1: float,
     """
     z = gen.standard_normal((count, 6))
     cols = [z[:, k] for k in range(6)]
-    # row max and min, column by column: no (count, 6) temporary
-    keep = (reduce(np.maximum, cols) <= box) & (reduce(np.minimum, cols) >= -box)
-    if not keep.all():
+    # almost every chunk lies inside the box: test the whole draw first, and
+    # only then build the row mask, column by column (no (count, 6) temporary)
+    if not (z.max() <= box and z.min() >= -box):
+        keep = (reduce(np.maximum, cols) <= box) & (reduce(np.minimum, cols) >= -box)
         cols = [c[keep] for c in cols]
     sd_xy = 1.0 / math.sqrt(t)
     sd_w = 1.0 / math.sqrt(2.0 * t)

@@ -6,12 +6,15 @@ its signed log-determinants from one sample source per ensemble: band scans
 draw dense matrices, eigensolved once per sample at three or more energies
 and LU factored once per energy at one or two (`estimate_f2`), and GOE scans
 run the pivot recurrence of the Dumitriu-Edelman tridiagonal model (O(N) per
-sample and energy).  Each substream returns its per-sample signed log-dets,
-concatenated in stream order, so no result depends on the worker count.  The
-normalized ratio D2^{-1} F2 is computed from common random numbers (one draw
-per sample serves every scan point), and its uncertainty comes from the delta
-method on the means of A = det1 det2, B = det1^2 and C = det2^2, summed over
-the samples as
+sample and energy).  Each worker runs one contiguous block of substreams.
+Every substream draws in its own batches, as it would alone; the block pools
+those draws across stream boundaries into chunks, evaluates each chunk in
+one call, and returns each substream's per-sample signed log-dets in stream
+order.  A sample's log-dets do not depend on the rest of its chunk, so no
+result depends on the worker count.  The normalized ratio D2^{-1} F2 is
+computed from common random numbers (one draw per sample serves every scan
+point), and its uncertainty comes from the delta method on the means of
+A = det1 det2, B = det1^2 and C = det2^2, summed over the samples as
 
     sum_i (A_i/SA - B_i/(2 SB) - C_i/(2 SC))^2
 
@@ -37,7 +40,7 @@ import numpy as np
 from .ensemble import RngStream, sample_goe_tridiagonal, sample_symmetric
 from .kernels import ds_kernel, rho
 from .lattice import LatticeParams, variance_profile
-from .spectral import signed_logdets, tridiagonal_signed_logdets
+from .spectral import rescale_pow2, signed_logdets, tridiagonal_signed_logdets
 
 __all__ = [
     "SignedAccumulator",
@@ -50,8 +53,13 @@ __all__ = [
     "f2_goe_exact",
 ]
 
-# Matrix entries sampled per batch (one dense N=256 matrix, or 256
-# tridiagonal N=256 samples); larger batches only raise peak memory.
+# Matrix entries of one chunk: a substream draws in batches of one chunk, and
+# a worker block evaluates, and holds, one chunk of pooled draws at a time.
+# A GOE chunk is _CHUNK_ENTRIES // N tridiagonal samples (256 at N=256), the
+# batch its draws depend on.  A dense chunk counts (2 + _LU_MAX_ENERGIES) N^2
+# entries per sample: the draws, the pooled copy and, on the LU route, one
+# shifted copy per energy; dense draws do not depend on the batch.  Larger
+# chunks only raise peak memory.
 _CHUNK_ENTRIES = 2**16
 
 # |mean| below 10x its standard error counts as an unresolved sign.
@@ -218,9 +226,13 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class _WorkerSpec:
-    # (generator, count, lambdas) -> (logs, signs), each (count, len(lambdas));
-    # picklable, so pool workers receive it with the spec
-    source: Callable[[np.random.Generator, int, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    # draw(size, generator) -> tuple of arrays with `size` leading rows, one
+    # call per batch of a stream; evaluate(*draws, lambdas) -> (logs, signs),
+    # each (rows, len(lambdas)), every row independent of the others.  Both
+    # are picklable, so pool workers receive them with the spec.
+    draw: Callable[[int, np.random.Generator], tuple[np.ndarray, ...]]
+    evaluate: Callable[..., tuple[np.ndarray, np.ndarray]]
+    chunk: int              # samples per draw call and per evaluation
     lambdas: np.ndarray
     master_seed: int
 
@@ -270,49 +282,82 @@ def _one_blas_thread():
         put(before)
 
 
-def _in_batches(count: int, step: int, batch) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated (logs, signs) of batch(size) over batches of at most step samples."""
-    parts = [batch(min(step, count - done)) for done in range(0, count, step)]
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+def _dense_draw(profile: np.ndarray, size: int,
+                gen: np.random.Generator) -> tuple[np.ndarray]:
+    return (sample_symmetric(profile, size, gen),)
 
 
-def _dense_source(profile: np.ndarray, gen: np.random.Generator, count: int,
-                  lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed log-dets of dense draws with variance profile J.
+def _dense_logdets(h: np.ndarray, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed log-dets of det(lam - H) for a (batch, n, n) block of dense draws.
 
-    At up to _LU_MAX_ENERGIES energies each batch takes one batched LU
+    At up to _LU_MAX_ENERGIES energies the block takes one batched LU
     (np.linalg.slogdet) of lam - H per energy; at more, one eigvalsh per
-    matrix serves every energy.  Both routes make the same draws and return
-    (logs, int8 signs), with sign 0 and log -inf for an exactly zero
-    determinant.
+    matrix serves every energy.  Both routes return (logs, int8 signs), with
+    sign 0 and log -inf for an exactly zero determinant.
     """
-    n = len(profile)
+    if len(lambdas) > _LU_MAX_ENERGIES:
+        return signed_logdets(np.linalg.eigvalsh(h), lambdas)
+    signs, logs = np.linalg.slogdet(lambdas[:, None, None] * np.eye(h.shape[1]) - h[:, None])
+    return logs, signs.astype(np.int8)
 
-    def batch(size):
-        h = sample_symmetric(profile, size, gen)
-        if len(lambdas) > _LU_MAX_ENERGIES:
-            return signed_logdets(np.linalg.eigvalsh(h), lambdas)
-        signs, logs = np.linalg.slogdet(lambdas[:, None, None] * np.eye(n) - h[:, None])
-        return logs, signs.astype(np.int8)
 
+def _stream_draws(spec: _WorkerSpec, streams: list[tuple[int, int]]):
+    """Each (stream index, count)'s draws, in batches of at most spec.chunk samples."""
+    for index, count in streams:
+        gen = RngStream(spec.master_seed, index).generator()
+        for done in range(0, count, spec.chunk):
+            yield spec.draw(min(spec.chunk, count - done), gen)
+
+
+def _pooled(batches, size: int):
+    """The batches' samples regrouped into chunks of `size` samples, the last one shorter.
+
+    Batches hold at most `size` samples.  A full one passes as it is; the
+    others are copied into one reused chunk buffer, so a chunk is valid only
+    until the next one is asked for, and at most one chunk of draws is held
+    besides the batch in hand.
+    """
+    buffer, filled = None, 0
+    for batch in batches:
+        count = len(batch[0])
+        if filled == 0 and count == size:
+            yield batch
+            continue
+        if buffer is None:
+            buffer = tuple(np.empty((size, *a.shape[1:]), a.dtype) for a in batch)
+        done = 0
+        while done < count:
+            take = min(size - filled, count - done)
+            for buf, a in zip(buffer, batch):
+                buf[filled:filled + take] = a[done:done + take]
+            filled, done = filled + take, done + take
+            if filled == size:
+                yield buffer
+                filled = 0
+    if filled:
+        yield tuple(buf[:filled] for buf in buffer)
+
+
+def _scan_block(args: tuple[_WorkerSpec, list[tuple[int, int]]]
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(logs, int8 signs) of each (stream index, count) of a block, in stream order.
+
+    Each stream draws in batches of spec.chunk samples, as it would alone;
+    the batches are pooled across stream boundaries, and each full chunk is
+    evaluated in one call.
+    """
+    spec, streams = args
+    counts = [count for _, count in streams]
+    logs = np.empty((sum(counts), len(spec.lambdas)))
+    signs = np.empty(logs.shape, dtype=np.int8)
+    done = 0
     with _one_blas_thread():
-        return _in_batches(count, max(_CHUNK_ENTRIES // (n * n), 1), batch)
-
-
-def _tridiagonal_source(N: int, gen: np.random.Generator, count: int,
-                        lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed log-dets of Dumitriu-Edelman GOE draws of size N, by the pivot recurrence."""
-    def batch(size):
-        return tridiagonal_signed_logdets(*sample_goe_tridiagonal(N, size, gen), lambdas)
-
-    return _in_batches(count, max(_CHUNK_ENTRIES // N, 1), batch)
-
-
-def _scan_stream(args: tuple[_WorkerSpec, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """One substream's (logs, int8 signs), each of shape (count, len(lambdas))."""
-    spec, stream_index, count = args
-    return spec.source(RngStream(spec.master_seed, stream_index).generator(), count,
-                       spec.lambdas)
+        for draws in _pooled(_stream_draws(spec, streams), spec.chunk):
+            size = len(draws[0])
+            logs[done:done + size], signs[done:done + size] = spec.evaluate(*draws, spec.lambdas)
+            done += size
+    cuts = np.cumsum(counts)[:-1]
+    return list(zip(np.split(logs, cuts), np.split(signs, cuts)))
 
 
 def _stream_counts(total: int, streams: int) -> list[int]:
@@ -322,20 +367,30 @@ def _stream_counts(total: int, streams: int) -> list[int]:
 
 def _run_scan(config: ScanConfig,
               lambdas: tuple[float, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every substream's (logs, int8 signs) at the energies, in stream order."""
+    """Every substream's (logs, int8 signs) at the energies, in stream order.
+
+    Each worker runs one contiguous block of the substreams.
+    """
     if not all(math.isfinite(lam) for lam in lambdas):
         raise ValueError(f"energies must be finite, got {lambdas}")
     if config.lattice is not None:
-        source = functools.partial(_dense_source, variance_profile(config.lattice))
+        profile = variance_profile(config.lattice)
+        draw, evaluate, entries = (functools.partial(_dense_draw, profile), _dense_logdets,
+                                   (2 + _LU_MAX_ENERGIES) * profile.size)
     else:
-        source = functools.partial(_tridiagonal_source, config.goe_size)
-    spec = _WorkerSpec(source, np.asarray(lambdas), config.master_seed)
+        draw, evaluate, entries = (functools.partial(sample_goe_tridiagonal, config.goe_size),
+                                   tridiagonal_signed_logdets, config.goe_size)
+    spec = _WorkerSpec(draw, evaluate, max(_CHUNK_ENTRIES // entries, 1), np.asarray(lambdas),
+                       config.master_seed)
     counts = _stream_counts(config.num_samples, config.num_streams)
-    tasks = [(spec, i, c) for i, c in enumerate(counts) if c > 0]
-    if config.workers == 1 or len(tasks) == 1:
-        return [_scan_stream(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=config.workers) as ex:
-        return list(ex.map(_scan_stream, tasks))
+    streams = [(i, c) for i, c in enumerate(counts) if c > 0]
+    workers = min(config.workers, len(streams))
+    bounds = [len(streams) * w // workers for w in range(workers + 1)]
+    tasks = [(spec, streams[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if workers == 1:
+        return _scan_block(tasks[0])
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return [part for block in ex.map(_scan_block, tasks) for part in block]
 
 
 def estimate_f2(config: ScanConfig, lambda1: float, lambda2: float) -> MomentEstimate:
@@ -370,10 +425,8 @@ def f2_goe_exact(l1: float, l2: float, N: int) -> tuple[int, float]:
                          [l1, 0.0, -eb2, 0.0],
                          [l2, -eb2, 0.0, 0.0],
                          [1.0, 0.0, 0.0, 0.0]])
-        state = step @ state
-        _, e = math.frexp(float(np.max(np.abs(state))))
-        state = np.ldexp(state, -e)
-        exponent += e
+        state, e = rescale_pow2(step @ state)
+        exponent += int(e)
     f2 = float(state[0])
     if f2 == 0.0:
         return 0, -math.inf

@@ -21,6 +21,7 @@ __all__ = [
     "signed_logdet",
     "signed_logdets",
     "tridiagonal_signed_logdets",
+    "rescale_pow2",
     "ncm",
     "semicircle_distance",
 ]
@@ -80,14 +81,19 @@ def tridiagonal_signed_logdets(diag, offdiag_sq, lambdas) -> tuple[np.ndarray, n
                          f"got {diag.shape} and {offdiag_sq.shape}")
     if not all(np.all(np.isfinite(x)) for x in (diag, offdiag_sq, lambdas)):
         raise ValueError("tridiagonal entries and energies must be finite")
-    # pivots[k] holds d_k of every (sample, energy); b2[k] broadcasts over energies
-    pivots = lambdas[None, None, :] - diag.T[:, :, None]
-    b2 = offdiag_sq.T[:, :, None]
+    # one pivot row d_k of every (sample, energy) at a time; the running sum
+    # adds the log|d_k| in the order k = 0, 1, ..., as a sum over k would
+    logd = np.zeros((len(diag), len(lambdas)))
+    odd = np.zeros(logd.shape, dtype=bool)      # parity of the negative pivots
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(1, len(pivots)):
-            pivots[k] -= b2[k - 1] / pivots[k - 1]
-        logd = np.sum(np.log(np.abs(pivots)), axis=0)
-    signs = (1 - 2 * (np.count_nonzero(pivots < 0.0, axis=0) % 2)).astype(np.int8)
+        for k in range(diag.shape[1]):
+            step = lambdas - diag[:, k, None]
+            if k:
+                step -= offdiag_sq[:, k - 1, None] / pivot
+            pivot = step
+            logd += np.log(np.abs(pivot))
+            odd ^= pivot < 0.0
+    signs = (1 - 2 * odd).astype(np.int8)
     bad = ~(logd < math.inf)  # an infinite pivot gives +inf or NaN
     if np.any(bad):
         samples, energies = np.nonzero(bad)
@@ -107,13 +113,23 @@ def _three_term_logdets(shifted, offdiag_sq) -> tuple[np.ndarray, np.ndarray]:
     prev, cur = np.ones(len(shifted)), shifted[:, 0].copy()
     exponent = np.zeros(len(shifted), dtype=np.int64)
     for k in range(1, shifted.shape[1]):
-        prev, cur = cur, shifted[:, k] * cur - offdiag_sq[:, k - 1] * prev
-        _, e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
-        prev, cur = np.ldexp(prev, -e), np.ldexp(cur, -e)
+        (prev, cur), e = rescale_pow2(np.stack([cur, shifted[:, k] * cur
+                                                - offdiag_sq[:, k - 1] * prev]))
         exponent += e
     with np.errstate(divide="ignore"):
         logd = np.log(np.abs(cur)) + exponent * math.log(2.0)
     return logd, np.sign(cur).astype(np.int8)
+
+
+def rescale_pow2(values: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(values * 2^-e, e), e the binary exponent of the largest |value| along axis.
+
+    The largest magnitude lands in [1/2, 1) and the scaling is exact, so a
+    recurrence that rescales every step and sums the exponents apart neither
+    overflows nor rounds differently.
+    """
+    _, e = np.frexp(np.max(np.abs(values), axis=axis))
+    return np.ldexp(values, -np.expand_dims(e, axis)), e
 
 
 def signed_logdet(eigs: np.ndarray, lam: float) -> tuple[int, float]:

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandmoments import moments
-from bandmoments.ensemble import sample_symmetric
+from bandmoments.ensemble import RngStream, sample_goe_tridiagonal, sample_symmetric
 from bandmoments.kernels import ds_kernel, rho
 from bandmoments.lattice import LatticeParams, variance_profile
 from bandmoments.moments import (ScanConfig, SignedAccumulator, estimate_f2,
                                  estimate_ratio, f2_goe_exact, scaled_energies)
+from bandmoments.spectral import tridiagonal_signed_logdets
 
 RNG = np.random.default_rng(2)
 
@@ -269,11 +270,10 @@ class TestDenseSource:
 
     @staticmethod
     def _both_routes(n, seed, count, lam):
-        profile = variance_profile(LatticeParams(n, 1.5))
-        one = moments._dense_source(profile, np.random.default_rng(seed), count,
-                                    np.array([lam]))
-        three = moments._dense_source(profile, np.random.default_rng(seed), count,
-                                      np.array([lam, lam + 0.1, lam - 0.2]))
+        h = sample_symmetric(variance_profile(LatticeParams(n, 1.5)), count,
+                             np.random.default_rng(seed))
+        one = moments._dense_logdets(h, np.array([lam]))
+        three = moments._dense_logdets(h, np.array([lam, lam + 0.1, lam - 0.2]))
         return one, three
 
     @pytest.mark.parametrize("energies,route", [(1, "slogdet"), (2, "slogdet"),
@@ -284,8 +284,8 @@ class TestDenseSource:
             real = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name,
                                 lambda *a, _name=name, _real=real: called.append(_name) or _real(*a))
-        profile = variance_profile(LatticeParams(1, 1.5))
-        moments._dense_source(profile, np.random.default_rng(0), 5, np.linspace(0, 1, energies))
+        h = sample_symmetric(variance_profile(LatticeParams(1, 1.5)), 5, np.random.default_rng(0))
+        moments._dense_logdets(h, np.linspace(0, 1, energies))
         assert set(called) == {route}
 
     @pytest.mark.parametrize("n", [0, 1, 4])   # N = 1, 3, 9
@@ -304,6 +304,51 @@ class TestDenseSource:
         (log_lu, sign_lu), (log_eig, sign_eig) = self._both_routes(0, 12, 1, lam)
         assert (sign_lu[0, 0], log_lu[0, 0]) == (0, -math.inf)
         assert (sign_eig[0, 0], log_eig[0, 0]) == (0, -math.inf)
+
+
+class TestBlockRunner:
+    """Worker blocks pool the substreams' draws; the results must not show it."""
+
+    @staticmethod
+    def _streams(workers, samples, streams, **ensemble):
+        config = ScanConfig(lambda0=0.0, xi_pairs=((0.5, -0.5), (1.0, -1.0)),
+                            num_samples=samples, master_seed=6, num_streams=streams,
+                            workers=workers, **ensemble)
+        return moments._run_scan(config, (0.4, -0.1, 0.25)), estimate_ratio(config)
+
+    # chunks of 256 GOE (N=256) and 56 band (N=17) samples: 75-sample
+    # streams fill them across stream boundaries
+    @pytest.mark.parametrize("ensemble",
+                             [dict(goe_size=256), dict(lattice=LatticeParams(8, 2.0))],
+                             ids=["goe", "band"])
+    @pytest.mark.parametrize("samples,streams", [(600, 8), (5, 8)],
+                             ids=["pooled", "zero_count_streams"])
+    def test_workers_give_byte_equal_results(self, ensemble, samples, streams):
+        (serial, rows), *others = [self._streams(w, samples, streams, **ensemble)
+                                   for w in (1, 2, 3)]
+        assert len(serial) == min(samples, streams)   # one part per non-empty stream
+        assert sum(len(logs) for logs, _ in serial) == samples
+        for parts, other_rows in others:
+            assert len(parts) == len(serial)
+            for (logs, signs), (ref_logs, ref_signs) in zip(parts, serial):
+                assert logs.tobytes() == ref_logs.tobytes()
+                assert signs.tobytes() == ref_signs.tobytes()
+            assert repr(other_rows) == repr(rows)      # NaN rows compare too
+
+    def test_goe_streams_draw_in_their_own_batches(self):
+        # 300 samples per stream at N=256: a batch of 256, then one of 44
+        lambdas = (0.1, -0.35, 0.6)
+        config = ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=600,
+                            master_seed=11, goe_size=256, num_streams=2)
+        logs, signs = (np.concatenate(p) for p in zip(*moments._run_scan(config, lambdas)))
+        ref = []
+        for stream in range(2):
+            gen = RngStream(11, stream).generator()
+            for size in (256, 44):
+                ref.append(tridiagonal_signed_logdets(
+                    *sample_goe_tridiagonal(256, size, gen), lambdas))
+        assert logs.tobytes() == np.concatenate([r[0] for r in ref]).tobytes()
+        assert signs.tobytes() == np.concatenate([r[1] for r in ref]).tobytes()
 
 
 class TestEstimateRatio:

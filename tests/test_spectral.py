@@ -1,6 +1,7 @@
 """Spectra, signed log-determinants, NCM histograms, semicircle distance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,15 @@ def _tridiagonals(draw):
     diag = draw(st.lists(ENTRY, min_size=n, max_size=n))
     offdiag = draw(st.lists(ENTRY, min_size=n - 1, max_size=n - 1))
     return np.array(diag), np.array(offdiag) ** 2
+
+
+@st.composite
+def _tridiagonal_batches(draw):
+    n = draw(st.integers(1, 10))
+    rows = draw(st.integers(1, 12))
+    diag = draw(st.lists(ENTRY, min_size=rows * n, max_size=rows * n))
+    offdiag = draw(st.lists(ENTRY, min_size=rows * (n - 1), max_size=rows * (n - 1)))
+    return np.reshape(diag, (rows, n)), np.reshape(offdiag, (rows, n - 1)) ** 2
 
 
 class TestEigenvalues:
@@ -127,6 +137,43 @@ class TestTridiagonalSignedLogdets:
             tridiagonal_signed_logdets(np.zeros(3), np.zeros(2), [0.0])
         with pytest.raises(ValueError):
             tridiagonal_signed_logdets(np.zeros((1, 2)), [[np.nan]], [0.0])
+
+    @PROPERTY
+    @given(t=_tridiagonal_batches(), lambdas=st.lists(ENTRY, min_size=1, max_size=4),
+           cuts=st.lists(st.integers(0, 12), max_size=4))
+    def test_any_split_of_rows_gives_the_same_bits(self, t, lambdas, cuts):
+        # rows are independent: scans pool draws into chunks across streams.
+        # Dyadic entries plant exact zero pivots, so rows of the fallback
+        # route are among them.
+        diag, offdiag_sq = t
+        whole = tridiagonal_signed_logdets(diag, offdiag_sq, lambdas)
+        parts = [tridiagonal_signed_logdets(d, b, lambdas)
+                 for d, b in zip(np.split(diag, sorted(cuts)), np.split(offdiag_sq, sorted(cuts)))
+                 if len(d)]
+        for k in range(2):
+            assert np.concatenate([p[k] for p in parts]).tobytes() == whole[k].tobytes()
+
+    def test_split_covers_the_zero_pivot_route(self):
+        # the last row has a zero pivot at lam, so its entry takes the fallback
+        diag, offdiag_sq, lam = self.PLANTED[1]
+        rows = np.array([diag, [0.3, 0.1, -0.2], diag])
+        whole = tridiagonal_signed_logdets(rows, [offdiag_sq] * 3, [lam, 0.7])
+        one = tridiagonal_signed_logdets(rows[2:], [offdiag_sq], [lam, 0.7])
+        assert whole[0][2].tobytes() == one[0][0].tobytes()
+        assert whole[1][2].tobytes() == one[1][0].tobytes()
+
+    def test_peak_memory_is_a_few_pivot_rows(self):
+        # one (samples, energies) pivot row at a time, not an (N, samples,
+        # energies) pivot array (19.5 MiB here)
+        diag, offdiag_sq = sample_goe_tridiagonal(256, 256, RngStream(3).generator())
+        lambdas = np.linspace(-0.3, 0.3, 13)
+        tracemalloc.start()
+        try:
+            tridiagonal_signed_logdets(diag, offdiag_sq, lambdas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @PROPERTY
     @given(t=_tridiagonals(), lam=ENTRY, exponent=st.integers(-400, 400))
