@@ -54,12 +54,13 @@ __all__ = [
 ]
 
 # Matrix entries of one chunk: a substream draws in batches of one chunk, and
-# a worker block evaluates, and holds, one chunk of pooled draws at a time.
-# A GOE chunk is _CHUNK_ENTRIES // N tridiagonal samples (256 at N=256), the
-# batch its draws depend on.  A dense chunk counts (2 + _LU_MAX_ENERGIES) N^2
-# entries per sample: the draws, the pooled copy and, on the LU route, one
-# shifted copy per energy; dense draws do not depend on the batch.  Larger
-# chunks only raise peak memory.
+# a worker block evaluates one chunk of pooled draws at a time.  A GOE chunk
+# is _CHUNK_ENTRIES // N tridiagonal samples (256 at N=256), the batch its
+# draws depend on.  A dense chunk counts 2 N^2 entries per sample, the draws
+# and their pooled copy, plus N^2 per energy on the LU route for the shifted
+# copies; dense draws do not depend on the batch.  Pooled chunks fill up where
+# a single substream's batches did not, so counting the copies keeps small-N
+# chunks (65,536 samples at N=1 for N^2 alone) from raising peak memory.
 _CHUNK_ENTRIES = 2**16
 
 # |mean| below 10x its standard error counts as an unresolved sign.
@@ -312,17 +313,13 @@ def _stream_draws(spec: _WorkerSpec, streams: list[tuple[int, int]]):
 def _pooled(batches, size: int):
     """The batches' samples regrouped into chunks of `size` samples, the last one shorter.
 
-    Batches hold at most `size` samples.  A full one passes as it is; the
-    others are copied into one reused chunk buffer, so a chunk is valid only
-    until the next one is asked for, and at most one chunk of draws is held
-    besides the batch in hand.
+    Every batch is copied into one reused chunk buffer, so a chunk is valid
+    only until the next one is asked for, and at most one chunk of draws is
+    held besides the batch in hand.
     """
     buffer, filled = None, 0
     for batch in batches:
         count = len(batch[0])
-        if filled == 0 and count == size:
-            yield batch
-            continue
         if buffer is None:
             buffer = tuple(np.empty((size, *a.shape[1:]), a.dtype) for a in batch)
         done = 0
@@ -375,8 +372,9 @@ def _run_scan(config: ScanConfig,
         raise ValueError(f"energies must be finite, got {lambdas}")
     if config.lattice is not None:
         profile = variance_profile(config.lattice)
+        copies = 2 + (len(lambdas) if len(lambdas) <= _LU_MAX_ENERGIES else 0)
         draw, evaluate, entries = (functools.partial(_dense_draw, profile), _dense_logdets,
-                                   (2 + _LU_MAX_ENERGIES) * profile.size)
+                                   copies * profile.size)
     else:
         draw, evaluate, entries = (functools.partial(sample_goe_tridiagonal, config.goe_size),
                                    tridiagonal_signed_logdets, config.goe_size)

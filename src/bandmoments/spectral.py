@@ -121,15 +121,15 @@ def _three_term_logdets(shifted, offdiag_sq) -> tuple[np.ndarray, np.ndarray]:
     return logd, np.sign(cur).astype(np.int8)
 
 
-def rescale_pow2(values: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(values * 2^-e, e), e the binary exponent of the largest |value| along axis.
+def rescale_pow2(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values * 2^-e, e), e the binary exponent of the largest |value| along axis 0.
 
     The largest magnitude lands in [1/2, 1) and the scaling is exact, so a
     recurrence that rescales every step and sums the exponents apart neither
     overflows nor rounds differently.
     """
-    _, e = np.frexp(np.max(np.abs(values), axis=axis))
-    return np.ldexp(values, -np.expand_dims(e, axis)), e
+    _, e = np.frexp(np.max(np.abs(values), axis=0))
+    return np.ldexp(values, -e[None]), e
 
 
 def signed_logdet(eigs: np.ndarray, lam: float) -> tuple[int, float]:
