@@ -39,6 +39,8 @@ __all__ = [
 # tracking can no longer be trusted.
 _BRANCH_PIVOT_RTOL = 1e-14
 
+_TAIL_CHUNK = 20_000    # chains drawn per batch by tail_probability
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -110,11 +112,8 @@ def green_diag(p: ChainParams, i: int) -> complex:
     return complex(x[i - 1])
 
 
-def sample_chain(m: int, W: float, gamma_real: float, rng, size: int | None = None) -> np.ndarray:
-    """Exact Gaussian draws with precision -Delta + 2 gamma/W^2 (real gamma).
-
-    Returns shape (m,) for size None, else (size, m).
-    """
+def sample_chain(m: int, W: float, gamma_real: float, rng, size: int) -> np.ndarray:
+    """(size, m) exact Gaussian draws with precision -Delta + 2 gamma/W^2 (real gamma)."""
     if not gamma_real > 0:
         raise ValueError(f"gamma must be positive for sampling, got {gamma_real}")
     gen = as_generator(rng)
@@ -123,23 +122,23 @@ def sample_chain(m: int, W: float, gamma_real: float, rng, size: int | None = No
     ab[1] = op.diagonal + 2.0 * gamma_real / W**2
     ab[0, 1:] = op.offdiagonal
     cb = cholesky_banded(ab, lower=False)
-    z = gen.standard_normal((m, 1 if size is None else size))
-    x = solve_banded((0, 1), cb, z)
-    return x[:, 0] if size is None else x.T
+    z = gen.standard_normal((m, size))
+    return solve_banded((0, 1), cb, z).T
 
 
 def tail_probability(m: int, W: float, gamma_real: float, delta: float,
-                     draws: int, rng, chunk: int = 20_000) -> float:
-    """Empirical frequency of max_i |x_i| > delta * W over chain draws."""
+                     draws: int, rng) -> float:
+    """Empirical frequency of max_i |x_i| > delta * W over `draws` chain draws.
+
+    The chains are drawn from `rng` in batches of 20,000.
+    """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
     gen = as_generator(rng)
     exceed = 0
-    for start in range(0, draws, chunk):
-        x = sample_chain(m, W, gamma_real, gen, size=min(chunk, draws - start))
+    for start in range(0, draws, _TAIL_CHUNK):
+        x = sample_chain(m, W, gamma_real, gen, size=min(_TAIL_CHUNK, draws - start))
         exceed += int(np.sum(np.max(np.abs(x), axis=1) > delta * W))
     return exceed / draws

@@ -43,7 +43,7 @@ _SCAN_SCHEMA = ("xi1", "xi2", "ratio", "stderr", "ds_ref", "flag")
 _VERIFY_SCHEMA = ("check_id", "measured", "reference", "tolerance", "pass")
 _ENSEMBLES = ("goe", "band")
 # config keys that count something: every run needs at least one
-_COUNT_KEYS = ("size", "samples", "bins", "streams", "workers", "sets", "draws", "tail_draws")
+_COUNT_KEYS = ("size", "samples", "bins", "workers", "sets", "draws", "tail_draws")
 
 
 def _fmt(x) -> str:
@@ -99,10 +99,12 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _xi_diffs(raw: str) -> list[float]:
     try:
-        return [float(x) for x in raw.split(",")]
+        diffs = [float(x) for x in raw.split(",")]
+        if all(math.isfinite(d) for d in diffs):
+            return diffs
     except ValueError:
-        raise ValueError(f"config key 'xi_diffs' needs comma-separated floats, "
-                         f"got {raw!r}") from None
+        pass
+    raise ValueError(f"config key 'xi_diffs' needs comma-separated finite floats, got {raw!r}")
 
 
 def _coerce(key: str, default, raw: str):
@@ -200,11 +202,11 @@ _SPECTRUM_DEFAULTS = dict(ensemble="goe", size=256, half_width=0, bandwidth=8.0,
 
 
 def cmd_spectrum(cfg: dict) -> int:
-    outdir = _outdir(cfg)
     if cfg["ensemble"] == "goe":
         profile = goe_profile(cfg["size"])
     else:
         profile = variance_profile(LatticeParams(cfg["half_width"], cfg["bandwidth"]))
+    outdir = _outdir(cfg)
     eigs = np.concatenate([eigenvalues(sample_symmetric(profile, 1, RngStream(cfg["seed"], k))[0])
                            for k in range(cfg["samples"])])
     edges = np.linspace(-2.5, 2.5, cfg["bins"] + 1)
@@ -225,22 +227,21 @@ def cmd_spectrum(cfg: dict) -> int:
 
 _SCAN_DEFAULTS = dict(ensemble="goe", size=256, half_width=127, bandwidth=64.0,
                       lambda0=0.0, xi_diffs="0,0.5,1,1.5,2,2.5,3",
-                      samples=20000, streams=64, workers=1, seed=0, out="out")
+                      samples=20000, workers=1, seed=0, out="out")
 
 
 def _scan_config(cfg: dict) -> ScanConfig:
     pairs = tuple((d / 2.0, -d / 2.0) for d in _xi_diffs(cfg["xi_diffs"]))
     common = dict(lambda0=cfg["lambda0"], xi_pairs=pairs,
-                  num_samples=cfg["samples"], master_seed=cfg["seed"],
-                  num_streams=cfg["streams"], workers=cfg["workers"])
+                  num_samples=cfg["samples"], master_seed=cfg["seed"], workers=cfg["workers"])
     if cfg["ensemble"] == "goe":
         return ScanConfig(goe_size=cfg["size"], **common)
     return ScanConfig(lattice=LatticeParams(cfg["half_width"], cfg["bandwidth"]), **common)
 
 
 def cmd_scan_f2(cfg: dict) -> int:
-    outdir = _outdir(cfg)
     config = _scan_config(cfg)
+    outdir = _outdir(cfg)
     rows = estimate_ratio(config)
     _write_csv(outdir / "scan_f2.csv", _SCAN_SCHEMA,
                [(r.xi1, r.xi2, r.ratio, r.stderr, r.ds_ref, r.flag) for r in rows])

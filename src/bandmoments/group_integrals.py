@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cache, reduce
 
 import numpy as np
-from scipy.special import erfc
 
 from .ensemble import as_generator
 
@@ -46,6 +45,12 @@ __all__ = [
 # their rounding floor is ~12 eps / |tt|^3, so the crossover sits where that
 # floor is ~2e-11 and the series still converges in a few terms.
 TAYLOR_CUTOFF = 5e-2
+
+_U2_NODES = 96                 # Gauss-Legendre nodes in s of u2_quadrature
+_U2_CHUNK = 200_000            # draws per batch of mc_hciz_u2,
+_SP2_CHUNK = 100_000           # of mc_hciz_sp2
+_REDUCTION_CHUNK = 1_000_000   # and of reduction_check
+_BOX = 7.0                     # reduction_check's truncation half-width, in standard deviations
 
 
 @dataclass(frozen=True)
@@ -176,14 +181,14 @@ def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, ws
 
 
-def u2_quadrature(p: HcizParams, n_s: int = 96) -> complex:
+def u2_quadrature(p: HcizParams) -> complex:
     """Deterministic s quadrature of the U(2) integral, C = diag(c1, c2).
 
     |U_lk|^2 is s or 1 - s whatever the phase alpha, so the integrand does not
     depend on alpha and the coset matrices are built at alpha = 0.
     """
-    s, ws = _unit_gauss_legendre(n_s)
-    u = _coset_matrices(s, np.zeros(n_s))
+    s, ws = _unit_gauss_legendre(_U2_NODES)
+    u = _coset_matrices(s, np.zeros(_U2_NODES))
     c = np.array([p.c1, p.c2])
     d = np.array([p.d1, p.d2])
     # Tr C U* D U = sum_{k,l} c_k d_l |U_lk|^2
@@ -192,16 +197,14 @@ def u2_quadrature(p: HcizParams, n_s: int = 96) -> complex:
     return complex(ws @ vals)
 
 
-def _check_budget(draws: int, chunk: int) -> None:
+def _check_budget(draws: int) -> None:
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
 
 
 def _mc_mean(integrand, draw_params, draws: int, rng, chunk: int) -> tuple[complex, float]:
     """(mean, stderr) of integrand(*params) over draw_params(b, gen) batches of at most chunk."""
-    _check_budget(draws, chunk)
+    _check_budget(draws)
     gen = as_generator(rng)
     total = 0.0 + 0.0j
     total_sq = 0.0
@@ -214,17 +217,17 @@ def _mc_mean(integrand, draw_params, draws: int, rng, chunk: int) -> tuple[compl
     return complex(mean), math.sqrt(var / draws)
 
 
-def mc_hciz_u2(p: HcizParams, draws: int, rng, chunk: int = 200_000) -> tuple[complex, float]:
+def mc_hciz_u2(p: HcizParams, draws: int, rng) -> tuple[complex, float]:
     """Monte Carlo of exp(E1 - tt s) over the draws of sample_coset_u2; returns (mean, stderr)."""
     e1, _, tt = p.exponents()
-    return _mc_mean(lambda s, alpha: np.exp(e1 - tt * s), _coset_u2_params, draws, rng, chunk)
+    return _mc_mean(lambda s, alpha: np.exp(e1 - tt * s), _coset_u2_params, draws, rng, _U2_CHUNK)
 
 
-def mc_hciz_sp2(p: HcizParams, draws: int, rng, chunk: int = 100_000) -> tuple[complex, float]:
+def mc_hciz_sp2(p: HcizParams, draws: int, rng) -> tuple[complex, float]:
     """Monte Carlo of int exp(t Tr G P* H P / 2) dnu(P) as exp(E1 - tt q); see sample_sp2."""
     e1, _, tt = p.exponents()
     return _mc_mean(lambda s_u, alpha, s_v, beta: np.exp(e1 - tt * (s_u + s_v - 2.0 * s_u * s_v)),
-                    _sp2_params, draws, rng, chunk)
+                    _sp2_params, draws, rng, _SP2_CHUNK)
 
 
 @dataclass(frozen=True)
@@ -238,7 +241,7 @@ class ReductionReport:
     stderr_ok: bool
 
 
-def _box_eigenvalues(gen, count: int, box: float, t: float, d1: float,
+def _box_eigenvalues(gen, count: int, t: float, d1: float,
                      d2: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue pairs of count draws of F, less those outside the box.
 
@@ -249,8 +252,8 @@ def _box_eigenvalues(gen, count: int, box: float, t: float, d1: float,
     cols = [z[:, k] for k in range(6)]
     # almost every chunk lies inside the box: test the whole draw first, and
     # only then build the row mask, column by column (no (count, 6) temporary)
-    if not (z.max() <= box and z.min() >= -box):
-        keep = (reduce(np.maximum, cols) <= box) & (reduce(np.minimum, cols) >= -box)
+    if not (z.max() <= _BOX and z.min() >= -_BOX):
+        keep = (reduce(np.maximum, cols) <= _BOX) & (reduce(np.minimum, cols) >= -_BOX)
         cols = [c[keep] for c in cols]
     sd_xy = 1.0 / math.sqrt(t)
     sd_w = 1.0 / math.sqrt(2.0 * t)
@@ -262,17 +265,16 @@ def _box_eigenvalues(gen, count: int, box: float, t: float, d1: float,
     return mid + half_gap, mid - half_gap
 
 
-def reduction_check(t: float, d1: float, d2: float, phi, box: float = 7.0,
-                    draws: int = 10_000_000, rng=None,
-                    chunk: int = 1_000_000) -> ReductionReport | tuple[ReductionReport, ...]:
+def reduction_check(t: float, d1: float, d2: float, phi, draws: int,
+                    rng) -> ReductionReport | tuple[ReductionReport, ...]:
     """Compare the 6-dim Gaussian integral of Phi(F) with its 2-dim reduction.
 
     LHS: Monte Carlo over (x, y, Re w1, Im w1, Re w2, Im w2) with density
     prop. to exp(-(t/4) Tr(F - G)^2); Phi is evaluated on the two doubly
     degenerate eigenvalues of the quaternion form F.  RHS: Gauss-Hermite
-    quadrature of the reduced 2-eigenvalue integrand.  `box` is the
-    per-coordinate truncation half-width in standard deviations; the Gaussian
-    mass outside must be below 1e-10.
+    quadrature of the reduced 2-eigenvalue integrand.  The LHS takes `draws`
+    draws from `rng`, in batches of 1e6, and drops those with a coordinate
+    beyond 7 standard deviations (Gaussian mass below 1e-10 outside).
 
     `phi(y1, y2)` must be a vectorized symmetric polynomial of total degree
     at most 4 in the eigenvalues; the check returns its ReductionReport.
@@ -285,20 +287,17 @@ def reduction_check(t: float, d1: float, d2: float, phi, box: float = 7.0,
         raise ValueError(f"t must be positive, got {t}")
     if d1 == d2:
         raise ValueError("the reduction formula requires d1 != d2")
-    _check_budget(draws, chunk)
-    outside = 6.0 * erfc(box / math.sqrt(2.0))
-    if outside >= 1e-10:
-        raise ValueError(f"truncation box {box} leaves Gaussian mass {outside:.2e} outside")
+    _check_budget(draws)
     phis = (phi,) if callable(phi) else tuple(phi)
 
-    gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
+    gen = as_generator(rng)
     totals = [0.0] * len(phis)
     totals_sq = [0.0] * len(phis)
     kept = 0
     done = 0
     while done < draws:
-        b = min(chunk, draws - done)
-        y1, y2 = _box_eigenvalues(gen, b, box, t, d1, d2)
+        b = min(_REDUCTION_CHUNK, draws - done)
+        y1, y2 = _box_eigenvalues(gen, b, t, d1, d2)
         for k, f in enumerate(phis):
             vals = f(y1, y2)
             totals[k] += float(np.sum(vals))

@@ -63,6 +63,10 @@ __all__ = [
 # chunks (65,536 samples at N=1 for N^2 alone) from raising peak memory.
 _CHUNK_ENTRIES = 2**16
 
+# Fixed substreams of every scan, spawned from the master seed: the sample
+# budget is split over them whatever the worker count.
+_NUM_STREAMS = 64
+
 # |mean| below 10x its standard error counts as an unresolved sign.
 _SIGN_RESOLUTION_FACTOR = 10.0
 
@@ -171,8 +175,8 @@ class ScanConfig:
     """One moment scan: ensemble, energy window, sample budget, seeding.
 
     Exactly one of `lattice` (band ensemble) and `goe_size` must be set.
-    The sample budget is split over `num_streams` fixed substreams, so the
-    result is bit-identical for any worker count.
+    The sample budget is split over 64 fixed substreams of the master seed,
+    so the result is bit-identical for any worker count.
     """
 
     lambda0: float
@@ -181,7 +185,6 @@ class ScanConfig:
     master_seed: int
     lattice: LatticeParams | None = None
     goe_size: int | None = None
-    num_streams: int = 64
     workers: int = 1
 
     def __post_init__(self):
@@ -189,8 +192,6 @@ class ScanConfig:
             raise ValueError(f"lambda0 must lie in (-2, 2), got {self.lambda0}")
         if self.num_samples < 2:  # one sample gives no error bar
             raise ValueError(f"sample count must be at least 2, got {self.num_samples}")
-        if self.num_streams < 1:
-            raise ValueError(f"stream count must be at least 1, got {self.num_streams}")
         if self.workers < 1:
             raise ValueError(f"worker count must be at least 1, got {self.workers}")
         if not self.xi_pairs:
@@ -357,11 +358,6 @@ def _scan_block(args: tuple[_WorkerSpec, list[tuple[int, int]]]
     return list(zip(np.split(logs, cuts), np.split(signs, cuts)))
 
 
-def _stream_counts(total: int, streams: int) -> list[int]:
-    base, extra = divmod(total, streams)
-    return [base + (1 if i < extra else 0) for i in range(streams)]
-
-
 def _run_scan(config: ScanConfig,
               lambdas: tuple[float, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every substream's (logs, int8 signs) at the energies, in stream order.
@@ -380,7 +376,8 @@ def _run_scan(config: ScanConfig,
                                    tridiagonal_signed_logdets, config.goe_size)
     spec = _WorkerSpec(draw, evaluate, max(_CHUNK_ENTRIES // entries, 1), np.asarray(lambdas),
                        config.master_seed)
-    counts = _stream_counts(config.num_samples, config.num_streams)
+    base, extra = divmod(config.num_samples, _NUM_STREAMS)
+    counts = [base + (1 if i < extra else 0) for i in range(_NUM_STREAMS)]
     streams = [(i, c) for i, c in enumerate(counts) if c > 0]
     workers = min(config.workers, len(streams))
     bounds = [len(streams) * w // workers for w in range(workers + 1)]

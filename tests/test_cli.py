@@ -80,6 +80,8 @@ class TestConfigFile:
         (["scan-f2", "--workers", "0"], "workers"),
         (["verify-hciz", "--sets", "0"], "sets"),
         (["verify-hciz", "--draws", "0"], "draws"),
+        (["scan-f2", "--xi-diffs", "0,nan"], "xi_diffs"),
+        (["scan-f2", "--xi-diffs", "0,inf"], "xi_diffs"),
     ])
     def test_bad_value_names_key(self, argv, key, tmp_path):
         out = tmp_path / "o"
@@ -102,7 +104,7 @@ class TestConfigFile:
             flags = {a.dest for a in sub._actions if a.dest != "help"}
             assert flags == {"config"} | set(cli._COMMANDS[command][2])
             total += len(flags)
-        assert total == 47
+        assert total == 46
 
 
 # (count key, its default) for every count key of every command
@@ -151,6 +153,12 @@ class TestSpectrumCommand:
     def test_rejects_empty_run(self, key, tmp_path):
         with pytest.raises(ValueError, match=f"'{key}'"):
             main(["spectrum", "--size", "8", f"--{key}", "0", "--out", str(tmp_path / "o")])
+
+    def test_infinite_bandwidth_rejected(self, tmp_path):
+        out = tmp_path / "inf"
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite, got inf"):
+            main(["spectrum", "--ensemble", "band", "--bandwidth", "inf", "--out", str(out)])
+        assert not out.exists()
 
     def test_band_ensemble_runs(self, tmp_path):
         out = tmp_path / "b"
@@ -203,15 +211,17 @@ class TestScanCommand:
         assert _read(out1 / "scan_f2.csv") == _read(out2 / "scan_f2.csv")
 
     def test_infinite_bandwidth_rejected(self, tmp_path):
+        out = tmp_path / "inf"
         with pytest.raises(ValueError, match="bandwidth must be positive and finite, got inf"):
             main(["scan-f2", "--ensemble", "band", "--half-width", "1", "--bandwidth", "inf",
-                  "--samples", "4", "--out", str(tmp_path / "inf")])
+                  "--samples", "4", "--out", str(out)])
+        assert not out.exists()
 
     def test_one_sample_rejected(self, tmp_path):
         out = tmp_path / "one"
         with pytest.raises(ValueError, match="at least 2, got 1"):
             main(["scan-f2", "--size", "8", "--samples", "1", "--out", str(out)])
-        assert not (out / "scan_f2.csv").exists()
+        assert not out.exists()
 
 
 class TestVerifyCommands:

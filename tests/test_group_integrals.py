@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc
 
+from bandmoments import group_integrals
 from bandmoments.chain import tail_probability
 from bandmoments.ensemble import RngStream
 from bandmoments.group_integrals import (TAYLOR_CUTOFF, HcizParams, _coset_u2_params,
@@ -315,16 +317,16 @@ class TestReductionCheck:
         assert rep.rhs == pytest.approx(mass * ((1.5 - 0.5) ** 2 + 10.0), rel=1e-12)
         assert abs(rep.lhs - rep.rhs) <= 3.0 * rep.lhs_stderr
 
-    def test_observables_share_draws(self):
+    def test_observables_share_draws(self, monkeypatch):
         phis = (lambda y1, y2: np.ones_like(y1), lambda y1, y2: y1 + y2,
                 lambda y1, y2: (y1 - y2) ** 2)
-        # chunk 70_000 leaves a short last chunk
-        reports = reduction_check(0.8, 2.0, 0.6, phis, draws=300_000,
-                                  rng=RngStream(43), chunk=70_000)
+        # chunks of 70_000 leave a short last chunk
+        monkeypatch.setattr(group_integrals, "_REDUCTION_CHUNK", 70_000)
+        reports = reduction_check(0.8, 2.0, 0.6, phis, draws=300_000, rng=RngStream(43))
         assert len(reports) == len(phis)
         for phi, rep in zip(phis, reports):
             assert rep == reduction_check(0.8, 2.0, 0.6, phi, draws=300_000,
-                                          rng=RngStream(43), chunk=70_000)
+                                          rng=RngStream(43))
 
     def test_rows_outside_the_box_are_dropped(self):
         class Planted:
@@ -342,36 +344,24 @@ class TestReductionCheck:
 
     def test_rejects_degenerate_d(self):
         with pytest.raises(ValueError):
-            reduction_check(1.0, 0.5, 0.5, lambda y1, y2: y1)
+            reduction_check(1.0, 0.5, 0.5, lambda y1, y2: y1, draws=10, rng=RngStream(0))
 
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
-            reduction_check(0.0, 1.0, -1.0, lambda y1, y2: y1)
+            reduction_check(0.0, 1.0, -1.0, lambda y1, y2: y1, draws=10, rng=RngStream(0))
 
-    def test_rejects_leaky_box(self):
-        with pytest.raises(ValueError):
-            reduction_check(1.0, 1.0, -1.0, lambda y1, y2: y1, box=3.0)
+    def test_box_leaves_negligible_gaussian_mass(self):
+        # six coordinates, each outside +-_BOX with probability erfc(_BOX / sqrt 2)
+        assert 6.0 * erfc(group_integrals._BOX / math.sqrt(2.0)) < 1e-10
 
 
 @pytest.mark.parametrize("run", [
     lambda draws: mc_hciz_u2(ANCHOR, draws, RngStream(0)),
     lambda draws: mc_hciz_sp2(ANCHOR, draws, RngStream(0)),
-    lambda draws: reduction_check(1.0, 1.0, -1.0, lambda y1, y2: y1, draws=draws),
+    lambda draws: reduction_check(1.0, 1.0, -1.0, lambda y1, y2: y1, draws, RngStream(0)),
     lambda draws: tail_probability(8, 2.0, 1.0, 0.5, draws, RngStream(0)),
 ], ids=["mc_hciz_u2", "mc_hciz_sp2", "reduction_check", "tail_probability"])
 @pytest.mark.parametrize("draws", [0, -3])
 def test_monte_carlo_rejects_empty_draw_budget(run, draws):
     with pytest.raises(ValueError, match="draws"):
         run(draws)
-
-
-@pytest.mark.parametrize("run", [
-    lambda chunk: mc_hciz_u2(ANCHOR, 10, RngStream(0), chunk=chunk),
-    lambda chunk: mc_hciz_sp2(ANCHOR, 10, RngStream(0), chunk=chunk),
-    lambda chunk: reduction_check(1.0, 1.0, -1.0, lambda y1, y2: y1, draws=10, chunk=chunk),
-    lambda chunk: tail_probability(8, 2.0, 1.0, 0.5, 10, RngStream(0), chunk=chunk),
-], ids=["mc_hciz_u2", "mc_hciz_sp2", "reduction_check", "tail_probability"])
-@pytest.mark.parametrize("chunk", [0, -1])
-def test_monte_carlo_rejects_empty_chunk(run, chunk):
-    with pytest.raises(ValueError, match="chunk"):
-        run(chunk)

@@ -310,23 +310,21 @@ class TestBlockRunner:
     """Worker blocks pool the substreams' draws; the results must not show it."""
 
     @staticmethod
-    def _streams(workers, samples, streams, **ensemble):
+    def _streams(workers, samples, **ensemble):
         config = ScanConfig(lambda0=0.0, xi_pairs=((0.5, -0.5), (1.0, -1.0)),
-                            num_samples=samples, master_seed=6, num_streams=streams,
-                            workers=workers, **ensemble)
+                            num_samples=samples, master_seed=6, workers=workers, **ensemble)
         return moments._run_scan(config, (0.4, -0.1, 0.25)), estimate_ratio(config)
 
-    # chunks of 256 GOE (N=256) and 56 band (N=17) samples: 75-sample
-    # streams fill them across stream boundaries
+    # chunks of 256 GOE (N=256) and 113 band (N=17) samples: the 9- and
+    # 10-sample streams of 600 samples fill them across stream boundaries;
+    # 5 samples leave 59 of the 64 streams empty
     @pytest.mark.parametrize("ensemble",
                              [dict(goe_size=256), dict(lattice=LatticeParams(8, 2.0))],
                              ids=["goe", "band"])
-    @pytest.mark.parametrize("samples,streams", [(600, 8), (5, 8)],
-                             ids=["pooled", "zero_count_streams"])
-    def test_workers_give_byte_equal_results(self, ensemble, samples, streams):
-        (serial, rows), *others = [self._streams(w, samples, streams, **ensemble)
-                                   for w in (1, 2, 3)]
-        assert len(serial) == min(samples, streams)   # one part per non-empty stream
+    @pytest.mark.parametrize("samples", [600, 5], ids=["pooled", "zero_count_streams"])
+    def test_workers_give_byte_equal_results(self, ensemble, samples):
+        (serial, rows), *others = [self._streams(w, samples, **ensemble) for w in (1, 2, 3)]
+        assert len(serial) == min(samples, 64)   # one part per non-empty stream
         assert sum(len(logs) for logs, _ in serial) == samples
         for parts, other_rows in others:
             assert len(parts) == len(serial)
@@ -335,16 +333,18 @@ class TestBlockRunner:
                 assert signs.tobytes() == ref_signs.tobytes()
             assert repr(other_rows) == repr(rows)      # NaN rows compare too
 
-    def test_goe_streams_draw_in_their_own_batches(self):
-        # 300 samples per stream at N=256: a batch of 256, then one of 44
+    def test_goe_streams_draw_in_their_own_batches(self, monkeypatch):
+        # chunks of 4 samples at N=256; 394 samples give the first 10 streams
+        # 7 samples (a batch of 4, then one of 3) and the other 54 streams 6
+        monkeypatch.setattr(moments, "_CHUNK_ENTRIES", 4 * 256)
         lambdas = (0.1, -0.35, 0.6)
-        config = ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=600,
-                            master_seed=11, goe_size=256, num_streams=2)
+        config = ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=394,
+                            master_seed=11, goe_size=256)
         logs, signs = (np.concatenate(p) for p in zip(*moments._run_scan(config, lambdas)))
         ref = []
-        for stream in range(2):
+        for stream in range(64):
             gen = RngStream(11, stream).generator()
-            for size in (256, 44):
+            for size in (4, 3 if stream < 10 else 2):
                 ref.append(tridiagonal_signed_logdets(
                     *sample_goe_tridiagonal(256, size, gen), lambdas))
         assert logs.tobytes() == np.concatenate([r[0] for r in ref]).tobytes()
@@ -421,13 +421,11 @@ class TestEstimateRatio:
 
     def test_worker_partition_deterministic(self):
         config = ScanConfig(lambda0=0.0, xi_pairs=((0.5, -0.5), (1.0, -1.0)),
-                            num_samples=600, master_seed=8, goe_size=8,
-                            num_streams=8)
+                            num_samples=600, master_seed=8, goe_size=8)
         serial = estimate_ratio(config)
         parallel = estimate_ratio(
             ScanConfig(lambda0=0.0, xi_pairs=((0.5, -0.5), (1.0, -1.0)),
-                       num_samples=600, master_seed=8, goe_size=8,
-                       num_streams=8, workers=2))
+                       num_samples=600, master_seed=8, goe_size=8, workers=2))
         for a, b in zip(serial, parallel):
             assert (a.ratio, a.stderr) == (b.ratio, b.stderr)
 
@@ -436,8 +434,7 @@ class TestEstimateRatio:
         # N=255 factorisations of the dense band source are large enough for
         # OpenBLAS to split over threads.
         configs = [ScanConfig(lambda0=0.0, xi_pairs=xi_pairs, num_samples=16,
-                              master_seed=3, lattice=LatticeParams(127, 64.0),
-                              num_streams=4, workers=w)
+                              master_seed=3, lattice=LatticeParams(127, 64.0), workers=w)
                    for w in (1, 2)]
         serial, parallel = (estimate_ratio(c) for c in configs)
         for a, b in zip(serial, parallel):
@@ -485,9 +482,6 @@ class TestEstimateRatio:
         with pytest.raises(ValueError):
             ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=0,
                        master_seed=0, goe_size=4)
-        with pytest.raises(ValueError):
-            ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=10,
-                       master_seed=0, goe_size=4, num_streams=0)
         with pytest.raises(ValueError):
             ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=10,
                        master_seed=0, goe_size=0)
