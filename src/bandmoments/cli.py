@@ -32,7 +32,7 @@ from .group_integrals import (TAYLOR_CUTOFF, HcizParams, hciz_sp2, hciz_u2,
 from .kernels import semicircle_cdf
 from .lattice import LatticeParams, variance_profile
 from .moments import (_SCAN_BLAS_THREADS, ScanConfig, _openblas_threads,
-                      estimate_ratio)
+                      estimate_ratio, scaled_energies)
 from .spectral import eigenvalues, ncm, semicircle_distance
 from .transfer import cross_validate
 
@@ -173,13 +173,14 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, summary: dict,
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
 
 
-def _write_verify(outdir: Path, command: str, cfg: dict, rows: list[CheckRow]) -> int:
+def _write_verify(outdir: Path, command: str, cfg: dict, rows: list[CheckRow],
+                  summary: dict) -> int:
     _write_csv(outdir / "verify.csv", _VERIFY_SCHEMA,
                [(r.check_id, r.measured, r.reference, r.tolerance, int(r.passed))
                 for r in rows])
     failed = [r.check_id for r in rows if not r.passed]
     _write_manifest(outdir, command, cfg,
-                    {"checks": len(rows), "failed": failed})
+                    {"checks": len(rows), "failed": failed, **summary})
     for r in rows:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.check_id}: "
               f"measured={r.measured:.6g} reference={r.reference:.6g} "
@@ -231,12 +232,22 @@ _SCAN_DEFAULTS = dict(ensemble="goe", size=256, half_width=127, bandwidth=64.0,
 
 
 def _scan_config(cfg: dict) -> ScanConfig:
-    pairs = tuple((d / 2.0, -d / 2.0) for d in _xi_diffs(cfg["xi_diffs"]))
+    diffs = _xi_diffs(cfg["xi_diffs"])
+    pairs = tuple((d / 2.0, -d / 2.0) for d in diffs)
     common = dict(lambda0=cfg["lambda0"], xi_pairs=pairs,
                   num_samples=cfg["samples"], master_seed=cfg["seed"], workers=cfg["workers"])
     if cfg["ensemble"] == "goe":
-        return ScanConfig(goe_size=cfg["size"], **common)
-    return ScanConfig(lattice=LatticeParams(cfg["half_width"], cfg["bandwidth"]), **common)
+        config = ScanConfig(goe_size=cfg["size"], **common)
+    else:
+        config = ScanConfig(lattice=LatticeParams(cfg["half_width"], cfg["bandwidth"]), **common)
+    # a finite but huge difference can still overflow an energy, or pi * d, the
+    # argument of the DS reference (which is finite wherever its argument is)
+    for d, (xi1, xi2) in zip(diffs, pairs):
+        values = (math.pi * d, *scaled_energies(config.lambda0, xi1, xi2, config.N))
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"config key 'xi_diffs' gives a non-finite energy or DS "
+                             f"reference at {d!r}")
+    return config
 
 
 def cmd_scan_f2(cfg: dict) -> int:
@@ -366,12 +377,9 @@ _REDUCTION_PHIS = (
 )
 
 
-def reduction_suite(seed: int, draws: int) -> list[CheckRow]:
-    """6-dim MC vs 2-dim reduced quadrature for polynomial observables.
-
-    The observables of a setting share one set of draws.
-    """
-    rows = []
+def _reduction_run(seed: int, draws: int) -> tuple[list[CheckRow], dict]:
+    """reduction_suite's rows, and the draws each setting kept and dropped."""
+    rows, truncation = [], []
     names, phis = zip(*_REDUCTION_PHIS)
     for si, (t, d1, d2) in enumerate(_REDUCTION_SETTINGS):
         reports = reduction_check(t, d1, d2, phis, draws=draws, rng=RngStream(seed, si))
@@ -380,7 +388,18 @@ def reduction_suite(seed: int, draws: int) -> list[CheckRow]:
                                  0.0, 0.01))
             rows.append(CheckRow(f"reduction_t{si}_{name}_stderr_ok",
                                  float(rep.stderr_ok), 1.0, 0.5))
-    return rows
+        kept = reports[0].kept
+        truncation.append({"setting": f"t{si}", "t": t, "d1": d1, "d2": d2,
+                           "kept": kept, "dropped": draws - kept})
+    return rows, {"truncation": truncation}
+
+
+def reduction_suite(seed: int, draws: int) -> list[CheckRow]:
+    """6-dim MC vs 2-dim reduced quadrature for polynomial observables.
+
+    The observables of a setting share one set of draws.
+    """
+    return _reduction_run(seed, draws)[0]
 
 
 _TRANSFER_POINTS = ((0, 1.0), (1, 1.0), (4, 2.0))
@@ -409,8 +428,8 @@ def transfer_suite(seed: int, samples: int, workers: int) -> list[CheckRow]:
 def _run_suite(command: str, cfg: dict) -> int:
     """Call the command's suite with its config keys, except out, as arguments."""
     suite = _SUITES[command][0]
-    rows = suite(**{key: value for key, value in cfg.items() if key != "out"})
-    return _write_verify(_outdir(cfg), command, cfg, rows)
+    rows, summary = suite(**{key: value for key, value in cfg.items() if key != "out"})
+    return _write_verify(_outdir(cfg), command, cfg, rows, summary)
 
 
 def cmd_report(cfg: dict) -> int:
@@ -431,16 +450,22 @@ def cmd_report(cfg: dict) -> int:
 # commands and argument parsing
 # ----------------------------------------------------------------------
 
+def _rows_only(suite):
+    """A suite runner whose manifest records nothing beyond the checks."""
+    return lambda **kwargs: (suite(**kwargs), {})
+
+
 # name -> (function, help, defaults); the defaults declare each command's
-# config keys, their types and the flags the parser offers.
+# config keys, their types and the flags the parser offers.  A suite's
+# function returns its check rows and a dict of extra manifest summary.
 _SUITES = {
-    "verify-hciz": (hciz_suite, "group integral identities",
+    "verify-hciz": (_rows_only(hciz_suite), "group integral identities",
                     dict(seed=0, sets=20, draws=1_000_000, out="out")),
-    "verify-chain": (chain_suite, "chain determinant and tails",
+    "verify-chain": (_rows_only(chain_suite), "chain determinant and tails",
                      dict(seed=0, tail_draws=40_000, out="out")),
-    "verify-reduction": (reduction_suite, "6-dim vs 2-dim reduction",
+    "verify-reduction": (_reduction_run, "6-dim vs 2-dim reduction",
                          dict(seed=0, draws=1_000_000, out="out")),
-    "transfer-check": (transfer_suite, "transfer vs Monte Carlo",
+    "transfer-check": (_rows_only(transfer_suite), "transfer vs Monte Carlo",
                        dict(seed=0, samples=400_000, workers=1, out="out")),
 }
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -232,37 +232,55 @@ def mc_hciz_sp2(p: HcizParams, draws: int, rng) -> tuple[complex, float]:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """Dual-path evaluation of the 6-dim vs 2-dim reduced integral."""
+    """Dual-path evaluation of the 6-dim vs 2-dim reduced integral.
+
+    `kept` counts the Monte Carlo draws inside the truncation region, the
+    ones the LHS averages over.
+    """
 
     lhs: float
     lhs_stderr: float
     rhs: float
     relative_difference: float
     stderr_ok: bool
+    kept: int
 
 
 def _box_eigenvalues(gen, count: int, t: float, d1: float,
                      d2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue pairs of count draws of F, less those outside the box.
+    """Eigenvalue pairs of count draws of F, less those outside the truncation region.
 
-    The (count, 6) draw and its per-coordinate arrays are freed on return,
-    before any observable is evaluated.
+    The eigenvalues mid +- sqrt((x - y)^2 / 4 + |w|^2) read x, y and |w|^2
+    only, so each row takes three variates: x = d1 + z_x / sqrt(t),
+    y = d2 + z_y / sqrt(t) from two standard normals, and
+    g = t |w|^2 = (z_2^2 + z_3^2 + z_4^2 + z_5^2) / 2 ~ Gamma(2, 1) as the
+    sum of two standard exponentials.  A row is kept when |z_x|, |z_y| <= _BOX
+    and g <= 2 _BOX^2, a ball that contains the box |z_k| <= _BOX on the four
+    w coordinates.  The pairs are computed in place in the (2, count) normal
+    draw and returned as its two rows.
     """
-    z = gen.standard_normal((count, 6))
-    cols = [z[:, k] for k in range(6)]
-    # almost every chunk lies inside the box: test the whole draw first, and
-    # only then build the row mask, column by column (no (count, 6) temporary)
-    if not (z.max() <= _BOX and z.min() >= -_BOX):
-        keep = (reduce(np.maximum, cols) <= _BOX) & (reduce(np.minimum, cols) >= -_BOX)
-        cols = [c[keep] for c in cols]
-    sd_xy = 1.0 / math.sqrt(t)
-    sd_w = 1.0 / math.sqrt(2.0 * t)
-    x = d1 + sd_xy * cols[0]
-    y = d2 + sd_xy * cols[1]
-    w2 = sd_w**2 * (cols[2] ** 2 + cols[3] ** 2 + cols[4] ** 2 + cols[5] ** 2)
-    half_gap = np.sqrt(0.25 * (x - y) ** 2 + w2)
-    mid = 0.5 * (x + y)
-    return mid + half_gap, mid - half_gap
+    z = gen.standard_normal((2, count))
+    g = gen.standard_exponential((2, count)).sum(axis=0)
+    g_max = 2.0 * _BOX**2
+    # almost every chunk lies inside the region: test the whole draw first
+    if not (z.max() <= _BOX and z.min() >= -_BOX and g.max() <= g_max):
+        keep = (np.abs(z) <= _BOX).all(axis=0) & (g <= g_max)
+        z, g = z[:, keep], g[keep]
+    zx, zy = z
+    sd = 1.0 / math.sqrt(t)
+    half_gap = zx - zy                      # (x - y) / 2 = ((d1 - d2) + sd (z_x - z_y)) / 2
+    half_gap *= 0.5 * sd
+    half_gap += 0.5 * (d1 - d2)
+    np.square(half_gap, out=half_gap)
+    g /= t                                  # |w|^2
+    half_gap += g
+    np.sqrt(half_gap, out=half_gap)
+    zx += zy                                # mid = (d1 + d2) / 2 + sd (z_x + z_y) / 2
+    zx *= 0.5 * sd
+    zx += 0.5 * (d1 + d2)
+    np.subtract(zx, half_gap, out=zy)
+    zx += half_gap
+    return zx, zy
 
 
 def reduction_check(t: float, d1: float, d2: float, phi, draws: int,
@@ -273,8 +291,11 @@ def reduction_check(t: float, d1: float, d2: float, phi, draws: int,
     prop. to exp(-(t/4) Tr(F - G)^2); Phi is evaluated on the two doubly
     degenerate eigenvalues of the quaternion form F.  RHS: Gauss-Hermite
     quadrature of the reduced 2-eigenvalue integrand.  The LHS takes `draws`
-    draws from `rng`, in batches of 1e6, and drops those with a coordinate
-    beyond 7 standard deviations (Gaussian mass below 1e-10 outside).
+    draws from `rng`, in batches of 1e6.  Each draw is three variates, two
+    standard normals for x and y and one Gamma(2, 1) for t |w|^2 (see
+    _box_eigenvalues); draws with |z_x| or |z_y| beyond 7 standard deviations
+    or t |w|^2 beyond 2 * 7^2 are dropped (Gaussian mass below 1e-10 outside)
+    and the rest are counted in the report's `kept`.
 
     `phi(y1, y2)` must be a vectorized symmetric polynomial of total degree
     at most 4 in the eigenvalues; the check returns its ReductionReport.
@@ -323,5 +344,5 @@ def reduction_check(t: float, d1: float, d2: float, phi, draws: int,
             np.einsum("i,j,ij->", weights, weights, f(q1, q2) * jacobian / (d1 - d2) ** 2))
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         stderr_ok = lhs_stderr <= 0.005 * abs(lhs) if lhs != 0 else True
-        reports.append(ReductionReport(lhs, lhs_stderr, rhs, rel, stderr_ok))
+        reports.append(ReductionReport(lhs, lhs_stderr, rhs, rel, stderr_ok, kept))
     return reports[0] if callable(phi) else tuple(reports)

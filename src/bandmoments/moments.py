@@ -79,16 +79,33 @@ def scaled_energies(lambda0: float, xi1: float, xi2: float, N: int) -> tuple[flo
     return lambda0 + xi1 * scale, lambda0 + xi2 * scale
 
 
+def _max_shifted(logs: np.ndarray,
+                 weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the max `shift` of the logs and sum_k weights_k exp(logs_k - shift).
+
+    An empty row (all logs -inf) keeps shift -inf and sums to 0.
+    """
+    shift = np.max(logs, axis=1, initial=-math.inf)
+    safe = np.where(shift == -math.inf, 0.0, shift)   # exp(-inf - 0) is 0, not NaN
+    scaled = np.exp(logs - safe[:, None])
+    if weights is not None:
+        scaled *= weights
+    return shift, np.sum(scaled, axis=1)
+
+
 class SignedAccumulator:
     """Signed streaming sum of sign * exp(log) terms, kept in log space.
 
-    Holds the logs of the positive sum, the negative sum and the sum of
-    squares (-inf while empty); each batch and each merge is combined into
-    them by np.logaddexp.
+    Each batch is kept as its max shifts and the linear sums scaled by them,
+    for the positive sum, the negative sum and the sum of squares (shift
+    -inf for an empty sum).  Reading the sums combines every batch in one
+    max-shifted reduction, so a sum is rounded once at ulp(log) however many
+    batches and merges fed it.
     """
 
     def __init__(self):
-        self.log_totals = np.full(3, -math.inf)
+        self._shifts: list[np.ndarray] = []
+        self._scaled: list[np.ndarray] = []
         self.count = 0
 
     def add_many(self, signs, logs) -> None:
@@ -106,22 +123,26 @@ class SignedAccumulator:
         terms = np.array([np.where(signs > 0, logs, -math.inf),
                           np.where(signs < 0, logs, -math.inf),
                           np.where(signs != 0, 2.0 * logs, -math.inf)])
-        shift = np.max(terms, axis=1, initial=-math.inf)
-        shift[shift == -math.inf] = 0.0   # an empty sum: exp(-inf - 0) is 0, not NaN
-        total = np.sum(np.exp(terms - shift[:, None]), axis=1)
-        batch = shift + np.log(total, out=np.full(3, -math.inf), where=total > 0.0)
-        self.log_totals = np.logaddexp(self.log_totals, batch)
+        shift, scaled = _max_shifted(terms)
+        self._shifts.append(shift)
+        self._scaled.append(scaled)
         self.count += len(logs)
 
     def merge(self, other: "SignedAccumulator") -> "SignedAccumulator":
         merged = SignedAccumulator()
-        merged.log_totals = np.logaddexp(self.log_totals, other.log_totals)
+        merged._shifts = self._shifts + other._shifts
+        merged._scaled = self._scaled + other._scaled
         merged.count = self.count + other.count
         return merged
 
     def log_sums(self) -> tuple[float, float, float]:
         """Logs of the positive sum, the negative sum and the sum of squares (-inf if empty)."""
-        return tuple(self.log_totals.tolist())
+        if not self._shifts:
+            return (-math.inf,) * 3
+        # scaled sums times exp(shift), reduced against the largest shift
+        shift, total = _max_shifted(np.array(self._shifts).T, np.array(self._scaled).T)
+        return tuple((shift + np.log(total, out=np.full(3, -math.inf),
+                                     where=total > 0.0)).tolist())
 
     def signed_log_sum(self) -> tuple[int, float]:
         """(sign, log|sum|) of the accumulated signed total."""

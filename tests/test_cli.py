@@ -1,6 +1,7 @@
 """CLI: config handling, CSV schemas, determinism, negative controls."""
 
 import json
+import math
 import shutil
 import subprocess
 from pathlib import Path
@@ -10,8 +11,9 @@ import pytest
 import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc, gammainc
 
-from bandmoments import cli, moments
+from bandmoments import cli, group_integrals, moments
 from bandmoments.cli import CheckRow, load_config_file, main
 from bandmoments.group_integrals import hciz_u2
 
@@ -82,6 +84,10 @@ class TestConfigFile:
         (["verify-hciz", "--draws", "0"], "draws"),
         (["scan-f2", "--xi-diffs", "0,nan"], "xi_diffs"),
         (["scan-f2", "--xi-diffs", "0,inf"], "xi_diffs"),
+        # finite, but pi * 1e308 overflows the DS reference's argument
+        (["scan-f2", "--size", "8", "--samples", "100", "--xi-diffs", "0,1e308"], "xi_diffs"),
+        # finite, but the scaled energies overflow at N = 1
+        (["scan-f2", "--size", "1", "--xi-diffs", "0,1.5e308"], "xi_diffs"),
     ])
     def test_bad_value_names_key(self, argv, key, tmp_path):
         out = tmp_path / "o"
@@ -253,6 +259,18 @@ class TestVerifyCommands:
         out = tmp_path / "r"
         code = main(["verify-reduction", "--draws", "200000", "--out", str(out)])
         assert code == 0
+
+    def test_reduction_manifest_counts_truncated_draws(self, tmp_path, monkeypatch):
+        # a box of 1.5 standard deviations drops about 30% of the draws
+        monkeypatch.setattr(group_integrals, "_BOX", 1.5)
+        out = tmp_path / "rt"
+        main(["verify-reduction", "--draws", "20000", "--out", str(out)])
+        truncation = json.loads(_read(out / "manifest.json"))["summary"]["truncation"]
+        assert [row["setting"] for row in truncation] == ["t0", "t1", "t2"]
+        kept_share = (1.0 - erfc(1.5 / math.sqrt(2.0))) ** 2 * gammainc(2.0, 2.0 * 1.5**2)
+        for row in truncation:
+            assert row["kept"] + row["dropped"] == 20000
+            assert abs(row["kept"] / 20000 - kept_share) < 0.02
 
     def test_reduction_row_ids_keep_their_order(self, tmp_path):
         out = tmp_path / "ro"

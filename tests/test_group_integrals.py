@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import erfc
+from scipy.special import erfc, gammaincc
+from scipy.stats import ks_2samp
 
 from bandmoments import group_integrals
 from bandmoments.chain import tail_probability
@@ -331,16 +332,33 @@ class TestReductionCheck:
     def test_rows_outside_the_box_are_dropped(self):
         class Planted:
             def standard_normal(self, shape):
-                z = np.tile(np.linspace(-1.0, 1.0, shape[0])[:, None], (1, 6))
-                z[1, 3] = -7.5
-                z[3, 5] = 7.5
+                z = np.tile(np.linspace(-1.0, 1.0, shape[1]), (2, 1))
+                z[0, 1] = -7.5          # row 1: z_x beyond the box
                 return z
+
+            def standard_exponential(self, shape):
+                e = np.full(shape, 0.25)
+                e[:, 3] = 49.5          # row 3: t |w|^2 = 99 beyond 2 * 7^2
+                return e
 
         rep = reduction_check(2.0, 1.0, -0.3, lambda y1, y2: y1 + y2, draws=5,
                               rng=Planted())
         kept = np.linspace(-1.0, 1.0, 5)[[0, 2, 4]]
         trace = 1.0 - 0.3 + 2.0 * kept / math.sqrt(2.0)
+        assert rep.kept == 3
         assert rep.lhs == pytest.approx(2.0 * math.pi**3 / 8.0 * trace.mean(), rel=1e-14)
+
+    @pytest.mark.parametrize("t,d1,d2", [(1.0, 1.5, 0.5), (0.8, 2.0, 0.6)])
+    def test_eigenvalues_follow_the_six_normal_law(self, t, d1, d2):
+        # the pairs of six normal coordinates (x, y, Re w1, Im w1, Re w2, Im w2)
+        count = 200_000
+        z = np.random.default_rng(7).standard_normal((count, 6))
+        x, y = d1 + z[:, 0] / math.sqrt(t), d2 + z[:, 1] / math.sqrt(t)
+        half_gap = np.sqrt(0.25 * (x - y) ** 2 + np.sum(z[:, 2:] ** 2, axis=1) / (2.0 * t))
+        six = (0.5 * (x + y) + half_gap, 0.5 * (x + y) - half_gap)
+        y1, y2 = group_integrals._box_eigenvalues(np.random.default_rng(8), count, t, d1, d2)
+        assert ks_2samp(y1, six[0]).pvalue > 1e-3
+        assert ks_2samp(y1 - y2, six[0] - six[1]).pvalue > 1e-3
 
     def test_rejects_degenerate_d(self):
         with pytest.raises(ValueError):
@@ -351,8 +369,10 @@ class TestReductionCheck:
             reduction_check(0.0, 1.0, -1.0, lambda y1, y2: y1, draws=10, rng=RngStream(0))
 
     def test_box_leaves_negligible_gaussian_mass(self):
-        # six coordinates, each outside +-_BOX with probability erfc(_BOX / sqrt 2)
-        assert 6.0 * erfc(group_integrals._BOX / math.sqrt(2.0)) < 1e-10
+        # z_x and z_y each outside +-_BOX with probability erfc(_BOX / sqrt 2),
+        # and t |w|^2 ~ Gamma(2, 1) beyond 2 _BOX^2
+        box = group_integrals._BOX
+        assert 2.0 * erfc(box / math.sqrt(2.0)) + gammaincc(2.0, 2.0 * box**2) < 1e-10
 
 
 @pytest.mark.parametrize("run", [

@@ -134,6 +134,19 @@ class TestSignedAccumulator:
         with pytest.raises(ValueError, match="shape"):
             SignedAccumulator().add_many(signs.reshape(3, 2), logs.reshape(3, 2))
 
+    def test_streamed_estimate_matches_long_double_sum(self):
+        # 64 substreams folded in one by one, with the positive and negative
+        # sums cancelling to about 1/60 of either (relative stderr ~ 28)
+        config = ScanConfig(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=2000,
+                            master_seed=2, goe_size=64)
+        est = estimate_f2(config, 0.3, -0.6)
+        logs, signs = (np.concatenate(parts)
+                       for parts in zip(*moments._run_scan(config, (0.3, -0.6))))
+        terms = (signs[:, 0] * signs[:, 1]).astype(np.longdouble) * np.exp(
+            (logs[:, 0] + logs[:, 1]).astype(np.longdouble))
+        exact = np.log(abs(np.sum(terms)) / 2000)
+        assert abs(est.log_mean_magnitude - exact) <= 1e-13
+
 
 def _hermgauss_expect(fn, sigmas, nodes=24):
     """E[fn(x1..xk)] for independent centered normals via Gauss-Hermite."""
