@@ -6,7 +6,8 @@ The chain measure on m sites is exp(-1/2 sum (x_j - x_{j-1})^2
 det^{-1/2}(-Delta + 2 gamma/W^2); the half power is made unambiguous for
 complex gamma by accumulating the log-determinant additively over the
 tridiagonal pivot recursion, which continues the branch from real positive
-gamma.
+gamma.  Green diagonals and exact real-gamma samples share the plain numpy
+elimination of `lattice.tridiagonal_pivots`.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, solve_banded
 
 from .ensemble import as_generator
 from .lattice import (TridiagonalOperator, neumann_laplacian, tridiagonal_logdet,
-                      tridiagonal_solve)
+                      tridiagonal_pivots, tridiagonal_solve)
 
 __all__ = [
     "ChainParams",
@@ -113,17 +113,20 @@ def green_diag(p: ChainParams, i: int) -> complex:
 
 
 def sample_chain(m: int, W: float, gamma_real: float, rng, size: int) -> np.ndarray:
-    """(size, m) exact Gaussian draws with precision -Delta + 2 gamma/W^2 (real gamma)."""
+    """(size, m) exact Gaussian draws with precision -Delta + 2 gamma/W^2 (real gamma).
+
+    With the precision Q = L D L^T (tridiagonal_pivots), x = L^{-T} D^{-1/2} z
+    has covariance Q^{-1} for standard normal z, drawn as one (m, size) block.
+    """
     if not gamma_real > 0:
         raise ValueError(f"gamma must be positive for sampling, got {gamma_real}")
     gen = as_generator(rng)
-    op = chain_operator(m)
-    ab = np.zeros((2, m))
-    ab[1] = op.diagonal + 2.0 * gamma_real / W**2
-    ab[0, 1:] = op.offdiagonal
-    cb = cholesky_banded(ab, lower=False)
-    z = gen.standard_normal((m, size))
-    return solve_banded((0, 1), cb, z).T
+    d, mult = tridiagonal_pivots(chain_operator(m), 2.0 * gamma_real / W**2)
+    x = gen.standard_normal((m, size))
+    x /= np.sqrt(d)[:, None]
+    for i in range(m - 2, -1, -1):
+        x[i] -= mult[i] * x[i + 1]
+    return x.T
 
 
 def tail_probability(m: int, W: float, gamma_real: float, delta: float,

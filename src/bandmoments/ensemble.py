@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 __all__ = ["RngStream", "as_generator", "goe_profile",
            "sample_symmetric", "sample_goe", "sample_goe_tridiagonal"]
@@ -29,8 +30,7 @@ class RngStream:
     stream_index: int = 0
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
-        return np.random.default_rng(seq)
+        return default_rng(SeedSequence(self.master_seed, spawn_key=(self.stream_index,)))
 
 
 def as_generator(rng) -> np.random.Generator:

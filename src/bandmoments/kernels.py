@@ -26,6 +26,9 @@ __all__ = [
 
 # Below this |x| the closed form of DS loses digits to cancellation.
 DS_SERIES_CUTOFF = 1e-2
+# Above this |x| the powers x^3 (from ~5.6e102) and x^2 would overflow, so the
+# closed form divides by x one factor at a time.
+DS_STEPWISE_FROM = 1e100
 
 
 def rho(lam):
@@ -52,15 +55,20 @@ def semicircle_cdf(x):
 def ds_kernel(x):
     """GOE pair kernel DS(x) = 3(sin x / x^3 - cos x / x^2), DS(0) = 1.
 
-    Even series through x^8 below |x| = 1e-2; closed form elsewhere.
+    Even series through x^8 below |x| = 1e-2; closed form elsewhere, divided
+    stepwise above |x| = 1e100 so that no finite x overflows.
     """
     x = np.abs(np.asarray(x, dtype=float))  # even; keeps DS(x) = DS(-x) exact
     small = x < DS_SERIES_CUTOFF
-    xs = np.where(small, 1.0, x)
+    huge = x > DS_STEPWISE_FROM
+    xs = np.where(small | huge, 1.0, x)
     closed = 3.0 * (np.sin(xs) / xs**3 - np.cos(xs) / xs**2)
-    x2 = x * x
+    xh = np.where(huge, x, 1.0)
+    stepwise = 3.0 * (np.sin(xh) / xh / xh / xh - np.cos(xh) / xh / xh)
+    xt = np.where(small, x, 0.0)
+    x2 = xt * xt
     series = 1.0 + x2 * (-1.0 / 10.0 + x2 * (1.0 / 280.0 + x2 * (-1.0 / 15120.0 + x2 / 1330560.0)))
-    out = np.where(small, series, closed)
+    out = np.where(small, series, np.where(huge, stepwise, closed))
     if out.ndim == 0:
         return float(out)
     return out

@@ -2,8 +2,9 @@
 
 The variance profile of the band ensemble is J = (-W^2 Delta + 1)^{-1},
 where Delta is the discrete Laplacian on the chain with Neumann boundary
-conditions.  Everything here is dense-output but tridiagonal-solve backed,
-so it stays cheap up to N in the thousands.
+conditions.  The dense profile comes from one O(N) elimination per column
+(`tridiagonal_solve`, plain numpy without row exchanges), so it stays cheap
+up to N in the thousands.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 __all__ = [
     "LatticeParams",
@@ -20,6 +20,7 @@ __all__ = [
     "SingularSystemError",
     "neumann_laplacian",
     "variance_profile",
+    "tridiagonal_pivots",
     "tridiagonal_solve",
     "tridiagonal_logdet",
 ]
@@ -105,8 +106,40 @@ def variance_profile(params: LatticeParams) -> np.ndarray:
     return 0.5 * (j + j.T)
 
 
+def tridiagonal_pivots(op: TridiagonalOperator,
+                       shift: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Pivots and multipliers of Gaussian elimination on op + shift*I, no row exchanges.
+
+    Returns (d, mult): op + shift*I = L U with L unit lower bidiagonal (mult
+    below its diagonal) and U upper bidiagonal (d on its diagonal, op.offdiagonal
+    above it); for a symmetric operator also = L diag(d) L^T.  This is LAPACK
+    gtsv's elimination whenever gtsv exchanges no rows, as on the diagonally
+    dominant systems used here.
+
+    Raises ValueError for a non-finite entry and SingularSystemError when a
+    pivot is zero or not finite.
+    """
+    diag = op.diagonal + shift
+    if not (np.isfinite(diag).all() and np.isfinite(op.offdiagonal).all()):
+        raise ValueError(f"non-finite entry in {op.m}x{op.m} tridiagonal system")
+    d = diag.tolist()
+    e = op.offdiagonal.tolist()
+    mult = []
+    try:
+        for i, ei in enumerate(e):
+            fact = ei / d[i]
+            d[i + 1] -= fact * ei
+            mult.append(fact)
+    except ZeroDivisionError:
+        raise SingularSystemError(f"singular {op.m}x{op.m} tridiagonal system") from None
+    d = np.array(d)
+    if not (np.isfinite(d).all() and d[-1] != 0):
+        raise SingularSystemError(f"singular {op.m}x{op.m} tridiagonal system")
+    return d, np.array(mult)
+
+
 def tridiagonal_solve(op: TridiagonalOperator, shift: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve (op + shift*I) x = rhs with LAPACK's tridiagonal solver.
+    """Solve (op + shift*I) x = rhs by elimination without row exchanges.
 
     Parameters
     ----------
@@ -114,24 +147,27 @@ def tridiagonal_solve(op: TridiagonalOperator, shift: complex, rhs: np.ndarray) 
     shift : scalar added to the diagonal (may be complex)
     rhs : vector of length m, or (m, k) matrix of stacked right-hand sides
 
-    Raises SingularSystemError when the system is singular.
+    Without row exchanges the elimination is stable for diagonally dominant
+    systems and for systems whose Hermitian part is positive definite, which
+    covers every caller (`variance_profile`, `chain.green_diag`).  Raises
+    ValueError for a non-finite entry of the system or rhs and
+    SingularSystemError when a pivot is zero or not finite.
     """
     rhs = np.asarray(rhs)
     m = op.m
     if rhs.shape[0] != m:
         raise ValueError(f"rhs has leading dimension {rhs.shape[0]}, expected {m}")
-    dtype = np.result_type(op.diagonal, op.offdiagonal, type(shift), rhs, float)
-    ab = np.zeros((3, m), dtype=dtype)
-    ab[0, 1:] = op.offdiagonal
-    ab[1] = op.diagonal + shift
-    ab[2, :-1] = op.offdiagonal
-    try:
-        # errstate turns the division scipy uses for m = 1 into an error too
-        with np.errstate(divide="raise", invalid="raise"):
-            return solve_banded((1, 1), ab, rhs.astype(dtype), overwrite_ab=True,
-                                overwrite_b=True)
-    except (np.linalg.LinAlgError, FloatingPointError):
-        raise SingularSystemError(f"singular {m}x{m} tridiagonal system") from None
+    if not np.isfinite(rhs).all():
+        raise ValueError(f"non-finite entry in the right-hand side of a {m}x{m} system")
+    d, mult = tridiagonal_pivots(op, shift)
+    e = op.offdiagonal
+    x = rhs.astype(np.result_type(d, e, rhs, float))
+    for i in range(1, m):
+        x[i] -= mult[i - 1] * x[i - 1]
+    x[m - 1] /= d[m - 1]
+    for i in range(m - 2, -1, -1):
+        x[i] = (x[i] - e[i] * x[i + 1]) / d[i]
+    return x
 
 
 def tridiagonal_logdet(op: TridiagonalOperator, shift: complex = 0.0,

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky_banded, solve_banded
 
 from bandmoments.chain import (ChainParams, chain_asymptotic,
                                chain_log_asymptotic, chain_log_partition,
@@ -143,6 +144,18 @@ class TestSampleChain:
         green = np.linalg.inv(chain_operator(m).dense(2.0 * gamma / w**2))
         se = np.sqrt((np.outer(np.diag(green), np.diag(green)) + green**2) / len(x))
         assert np.max(np.abs(emp - green) / se) < 5.0
+
+    @pytest.mark.parametrize("m, w", [(1, 3.0), (8, 2.0), (64, 16.0), (320, 32.0)])
+    def test_matches_banded_cholesky_draw(self, m, w):
+        # reference: upper banded Cholesky R of the precision, x = R^{-1} z
+        gamma = 0.9
+        ab = np.zeros((2, m))
+        ab[1] = chain_operator(m).diagonal + 2.0 * gamma / w**2
+        ab[0, 1:] = chain_operator(m).offdiagonal
+        z = np.random.default_rng(m).standard_normal((m, 500))
+        ref = solve_banded((0, 1), cholesky_banded(ab, lower=False), z).T
+        x = sample_chain(m, w, gamma, np.random.default_rng(m), size=500)
+        np.testing.assert_allclose(x, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 
 
 class TestTailProbability:

@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,15 @@ class TestScanCommand:
         summary = json.loads(_read(out / "manifest.json"), parse_constant=reject)["summary"]
         assert summary == {"max_abs_deviation": abs(float(ratio) - float(ds_ref)),
                            "ok_off_diagonal_rows": 1}
+
+    def test_huge_finite_xi_diff_runs(self, tmp_path):
+        out = tmp_path / "huge"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scan-f2", "--size", "8", "--samples", "50", "--xi-diffs", "0,1e103",
+                         "--out", str(out)]) == 0
+        ds_ref = float(_read(out / "scan_f2.csv").splitlines()[2].split(",")[4])
+        assert 0.0 < abs(ds_ref) < 6.0 / 1e103**2
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"

@@ -1,6 +1,7 @@
 """Scalar kernels: semicircle law, DS kernel, saddle data, phase factor."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -59,6 +60,16 @@ class TestDsKernel:
     def test_decay(self):
         x = np.linspace(10.0, 200.0, 500)
         assert np.all(np.abs(ds_kernel(x)) <= 6.0 / x**2)
+
+    @pytest.mark.parametrize("x", [1e78, 1e103, 1e155, 1e308])
+    def test_huge_finite_argument(self, x):
+        # x^8 in the series overflows from ~1e77, x^3 from ~5.6e102, x^2 from ~1.3e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = ds_kernel(x)
+            batch = ds_kernel(np.array([0.0, 0.5, -x]))
+        assert value == pytest.approx(_ds_highprec(x), rel=1e-12, abs=1e-320)
+        assert batch[2] == value and batch[0] == 1.0 and batch[1] == ds_kernel(0.5)
 
 
 class TestSaddle:

@@ -1,9 +1,13 @@
-"""Lattice operators, variance profile, and the shared tridiagonal solver."""
+"""Lattice operators, variance profile, and the shared tridiagonal solver.
+
+scipy's banded LAPACK solver (gtsv) is the reference for the solver.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from bandmoments.lattice import (LatticeParams, SingularSystemError,
                                  TridiagonalOperator, neumann_laplacian,
@@ -123,11 +127,57 @@ class TestTridiagonalSolve:
         x = tridiagonal_solve(op, 0.0, np.eye(2))
         np.testing.assert_allclose(op.dense() @ x, np.eye(2), atol=1e-14)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "offdiagonal", "shift", "rhs"])
+    def test_non_finite_input_rejected(self, where, bad):
+        system = {"diagonal": np.full(4, 3.0), "offdiagonal": np.full(3, -1.0),
+                  "shift": 0.5, "rhs": np.ones((4, 2))}
+        if where == "shift":
+            system["shift"] = bad
+        else:
+            system[where][1] = bad
+        op = TridiagonalOperator(system["diagonal"], system["offdiagonal"])
+        with pytest.raises(ValueError) as err:
+            tridiagonal_solve(op, system["shift"], system["rhs"])
+        assert not isinstance(err.value, SingularSystemError)
+
     def test_singular_system_signaled(self):
         for m in (1, 3):
             op = TridiagonalOperator(np.zeros(m), np.zeros(m - 1))
             with pytest.raises(SingularSystemError):
                 tridiagonal_solve(op, 0.0, np.ones(m))
+
+
+def _gtsv_solve(op: TridiagonalOperator, shift: complex, rhs: np.ndarray) -> np.ndarray:
+    """scipy.linalg.solve_banded on the same system: LAPACK gtsv."""
+    dtype = np.result_type(op.diagonal, op.offdiagonal, type(shift), rhs, float)
+    ab = np.zeros((3, op.m), dtype=dtype)
+    ab[0, 1:] = op.offdiagonal
+    ab[1] = op.diagonal + shift
+    ab[2, :-1] = op.offdiagonal
+    return solve_banded((1, 1), ab, rhs.astype(dtype))
+
+
+class TestScipyOracle:
+    @pytest.mark.parametrize("n, w", [(1, 2.0), (16, 4.0), (127, 38.1), (127, 64.0),
+                                      (511, 64.0)])
+    def test_variance_profile_bit_identical_to_gtsv(self, n, w):
+        lap = neumann_laplacian(2 * n + 1)
+        op = TridiagonalOperator(-w**2 * lap.diagonal, -w**2 * lap.offdiagonal)
+        j = _gtsv_solve(op, 1.0, np.eye(2 * n + 1))
+        np.testing.assert_array_equal(variance_profile(LatticeParams(n, w)), 0.5 * (j + j.T))
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 64, 300])
+    def test_complex_diagonally_dominant_matches_gtsv(self, m):
+        off = RNG.uniform(-1.0, 1.0, m - 1) + 1j * RNG.uniform(-1.0, 1.0, m - 1)
+        diag = RNG.uniform(3.5, 5.0, m) * np.exp(1j * RNG.uniform(-1.4, 1.4, m))
+        op = TridiagonalOperator(diag, off)
+        shift = complex(0.3, -0.8)
+        rhs = RNG.standard_normal((m, 3)) + 1j * RNG.standard_normal((m, 3))
+        ref = _gtsv_solve(op, shift, rhs)
+        for b, want in ((rhs, ref), (rhs[:, 0], ref[:, 0])):
+            got = tridiagonal_solve(op, shift, b)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 class TestTridiagonalLogdet:
