@@ -39,7 +39,7 @@ __all__ = [
 # tracking can no longer be trusted.
 _BRANCH_PIVOT_RTOL = 1e-14
 
-_TAIL_CHUNK = 20_000    # chains drawn per batch by tail_probability
+_TAIL_CHUNK = 20_000    # chains per batch of tail_probability; fixes verify-chain's draws
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,8 @@ def tail_probability(m: int, W: float, gamma_real: float, delta: float,
                      draws: int, rng) -> float:
     """Empirical frequency of max_i |x_i| > delta * W over `draws` chain draws.
 
-    The chains are drawn from `rng` in batches of 20,000.
+    The chains are drawn from `rng` in batches of 20,000, one batch held at a
+    time.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -143,5 +144,6 @@ def tail_probability(m: int, W: float, gamma_real: float, delta: float,
     exceed = 0
     for start in range(0, draws, _TAIL_CHUNK):
         x = sample_chain(m, W, gamma_real, gen, size=min(_TAIL_CHUNK, draws - start))
-        exceed += int(np.sum(np.max(np.abs(x), axis=1) > delta * W))
+        exceed += int(np.sum(np.max(np.abs(x, out=x), axis=1) > delta * W))
+        del x                               # free the batch before the next is drawn
     return exceed / draws

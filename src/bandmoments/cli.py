@@ -34,7 +34,7 @@ from .lattice import LatticeParams, variance_profile
 from .moments import (_SCAN_BLAS_THREADS, ScanConfig, _openblas_threads,
                       estimate_ratio, scaled_energies)
 from .spectral import eigenvalues, ncm, semicircle_distance
-from .transfer import cross_validate
+from .transfer import _cross_validations
 
 __all__ = ["main", "CheckRow"]
 
@@ -409,10 +409,9 @@ def transfer_suite(seed: int, samples: int, workers: int) -> list[CheckRow]:
     """Transfer evaluation vs Monte Carlo at small (N, W), both lambda0."""
     rows = []
     for n, w in _TRANSFER_POINTS:
-        for lambda0 in (0.0, 1.0):
-            cv = cross_validate(LatticeParams(n, w), lambda0, 0.0,
-                                mc_samples=samples, master_seed=seed,
-                                workers=workers)
+        # both lambda0 from one Monte Carlo scan of the (n, w) draws
+        for lambda0, cv in zip((0.0, 1.0), _cross_validations(
+                LatticeParams(n, w), (0.0, 1.0), 0.0, samples, seed, workers)):
             rows.append(CheckRow(f"transfer_mc_n{n}_w{w:g}_l{lambda0:g}", cv.z_score,
                                  0.0, 3.0))
             rows.append(CheckRow(f"transfer_imag_n{n}_w{w:g}_l{lambda0:g}",

@@ -47,9 +47,13 @@ __all__ = [
 TAYLOR_CUTOFF = 5e-2
 
 _U2_NODES = 96                 # Gauss-Legendre nodes in s of u2_quadrature
-_U2_CHUNK = 200_000            # draws per batch of mc_hciz_u2,
-_SP2_CHUNK = 100_000           # of mc_hciz_sp2
-_REDUCTION_CHUNK = 1_000_000   # and of reduction_check
+# Draws per batch.  Each Monte Carlo loop holds one batch at a time, at most
+# 32 bytes a draw in mc_hciz_u2, 56 in mc_hciz_sp2 and 40 in reduction_check
+# (2.5 MiB at 2^16).  A batch fills each of its arrays in turn, so its size
+# is part of the draws: the U(2) and Sp(2) sizes fix verify-hciz's rows.
+_U2_CHUNK = 200_000
+_SP2_CHUNK = 100_000
+_REDUCTION_CHUNK = 2**16
 _BOX = 7.0                     # reduction_check's truncation half-width, in standard deviations
 
 
@@ -211,23 +215,43 @@ def _mc_mean(integrand, draw_params, draws: int, rng, chunk: int) -> tuple[compl
     for done in range(0, draws, chunk):
         vals = integrand(*draw_params(min(chunk, draws - done), gen))
         total += np.sum(vals)
-        total_sq += float(np.sum(np.abs(vals) ** 2))
+        sq = np.abs(vals)
+        total_sq += float(np.sum(np.square(sq, out=sq)))
+        del vals, sq                        # free the batch before the next is drawn
     mean = total / draws
     var = max(total_sq / draws - abs(mean) ** 2, 0.0)
     return complex(mean), math.sqrt(var / draws)
 
 
+def _exp_linear(e1: complex, tt: complex, s: np.ndarray) -> np.ndarray:
+    """exp(e1 - tt s), computed in one buffer."""
+    out = np.multiply(tt, s)
+    np.subtract(e1, out, out=out)
+    return np.exp(out, out=out)
+
+
 def mc_hciz_u2(p: HcizParams, draws: int, rng) -> tuple[complex, float]:
     """Monte Carlo of exp(E1 - tt s) over the draws of sample_coset_u2; returns (mean, stderr)."""
     e1, _, tt = p.exponents()
-    return _mc_mean(lambda s, alpha: np.exp(e1 - tt * s), _coset_u2_params, draws, rng, _U2_CHUNK)
+    return _mc_mean(lambda s, alpha: _exp_linear(e1, tt, s), _coset_u2_params, draws, rng,
+                    _U2_CHUNK)
+
+
+def _sp2_integrand(e1: complex, tt: complex, s_u: np.ndarray, alpha: np.ndarray,
+                   s_v: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """exp(e1 - tt q), q = s_u + s_v - 2 s_u s_v, overwriting s_u with q."""
+    prod = np.multiply(2.0, s_u)
+    prod *= s_v
+    s_u += s_v
+    s_u -= prod
+    return _exp_linear(e1, tt, s_u)
 
 
 def mc_hciz_sp2(p: HcizParams, draws: int, rng) -> tuple[complex, float]:
     """Monte Carlo of int exp(t Tr G P* H P / 2) dnu(P) as exp(E1 - tt q); see sample_sp2."""
     e1, _, tt = p.exponents()
-    return _mc_mean(lambda s_u, alpha, s_v, beta: np.exp(e1 - tt * (s_u + s_v - 2.0 * s_u * s_v)),
-                    _sp2_params, draws, rng, _SP2_CHUNK)
+    return _mc_mean(lambda *params: _sp2_integrand(e1, tt, *params), _sp2_params, draws, rng,
+                    _SP2_CHUNK)
 
 
 @dataclass(frozen=True)
@@ -291,7 +315,7 @@ def reduction_check(t: float, d1: float, d2: float, phi, draws: int,
     prop. to exp(-(t/4) Tr(F - G)^2); Phi is evaluated on the two doubly
     degenerate eigenvalues of the quaternion form F.  RHS: Gauss-Hermite
     quadrature of the reduced 2-eigenvalue integrand.  The LHS takes `draws`
-    draws from `rng`, in batches of 1e6.  Each draw is three variates, two
+    draws from `rng`, in batches of 2^16.  Each draw is three variates, two
     standard normals for x and y and one Gamma(2, 1) for t |w|^2 (see
     _box_eigenvalues); draws with |z_x| or |z_y| beyond 7 standard deviations
     or t |w|^2 beyond 2 * 7^2 are dropped (Gaussian mass below 1e-10 outside)
@@ -323,8 +347,10 @@ def reduction_check(t: float, d1: float, d2: float, phi, draws: int,
             vals = f(y1, y2)
             totals[k] += float(np.sum(vals))
             totals_sq[k] += float(np.sum(vals**2))
+            del vals
         kept += len(y1)
         done += b
+        del y1, y2                          # free the batch before the next is drawn
     mass = 2.0 * math.pi**3 / t**3
 
     nodes, weights = np.polynomial.hermite.hermgauss(24)

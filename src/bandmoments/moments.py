@@ -409,13 +409,20 @@ def _run_scan(config: ScanConfig,
         return [part for block in ex.map(_scan_block, tasks) for part in block]
 
 
+def _f2_from_scan(parts: list[tuple[np.ndarray, np.ndarray]],
+                  pairs: list[tuple[int, int]]) -> list[MomentEstimate]:
+    """F2 at each (i1, i2) pair of a scan's energies, from its (logs, signs) parts."""
+    accs = [SignedAccumulator() for _ in pairs]
+    for logs, signs in parts:
+        for acc, (i1, i2) in zip(accs, pairs):
+            acc.add_many(signs[:, i1] * signs[:, i2], logs[:, i1] + logs[:, i2])
+    return [acc.estimate() for acc in accs]
+
+
 def estimate_f2(config: ScanConfig, lambda1: float, lambda2: float) -> MomentEstimate:
     """Monte Carlo estimate of E[det(lambda1 - H) det(lambda2 - H)]."""
     i2 = 0 if lambda1 == lambda2 else 1      # equal arguments: one energy
-    acc = SignedAccumulator()
-    for logs, signs in _run_scan(config, (lambda1, lambda2)[:i2 + 1]):
-        acc.add_many(signs[:, 0] * signs[:, i2], logs[:, 0] + logs[:, i2])
-    return acc.estimate()
+    return _f2_from_scan(_run_scan(config, (lambda1, lambda2)[:i2 + 1]), [(0, i2)])[0]
 
 
 def f2_goe_exact(l1: float, l2: float, N: int) -> tuple[int, float]:

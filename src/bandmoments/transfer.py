@@ -50,7 +50,8 @@ import numpy as np
 from .kernels import log_phase_factor, rho, saddle_data
 from .lattice import (LatticeParams, TridiagonalOperator, neumann_laplacian,
                       tridiagonal_logdet)
-from .moments import MomentEstimate, ScanConfig, estimate_f2, scaled_energies
+from .moments import (MomentEstimate, ScanConfig, _f2_from_scan, _run_scan,
+                      scaled_energies)
 
 __all__ = ["Grid2D", "TransferKernel", "TransferResult", "build_kernel",
            "transfer_evaluate", "CrossValidation", "cross_validate"]
@@ -234,14 +235,28 @@ def cross_validate(params: LatticeParams, lambda0: float, xi: float,
                    mc_samples: int, master_seed: int = 0,
                    workers: int = 1) -> CrossValidation:
     """Run both routes to F2(lam, lam) and report the z-score of their gap."""
-    lam = scaled_energies(lambda0, xi, xi, params.N)[0]
-    result = transfer_evaluate(build_kernel(params, lambda0, xi))
-    config = ScanConfig(lambda0=lambda0, xi_pairs=((xi, xi),),
+    return _cross_validations(params, (lambda0,), xi, mc_samples, master_seed, workers)[0]
+
+
+def _cross_validations(params: LatticeParams, lambda0s: tuple[float, ...], xi: float,
+                       mc_samples: int, master_seed: int,
+                       workers: int) -> list[CrossValidation]:
+    """cross_validate at each lambda0, with one Monte Carlo scan for all of them.
+
+    At one or two energies a scan factors every draw by LU at each energy on
+    its own, so each estimate is then bit-identical to cross_validate's.
+    """
+    lams = tuple(scaled_energies(lambda0, xi, xi, params.N)[0] for lambda0 in lambda0s)
+    config = ScanConfig(lambda0=lambda0s[0], xi_pairs=((xi, xi),),
                         num_samples=mc_samples, master_seed=master_seed,
                         lattice=params, workers=workers)
-    mc = estimate_f2(config, lam, lam)
-    mc_value = mc.value
-    mc_stderr = abs(mc_value) * mc.relative_stderr
-    sigma = math.hypot(mc_stderr, result.quadrature_error_estimate)
-    z = (result.f2 - mc_value) / sigma if sigma > 0 else math.inf
-    return CrossValidation(lam, result, mc, mc_value, mc_stderr, z, abs(z) <= 3.0)
+    mcs = _f2_from_scan(_run_scan(config, lams), [(k, k) for k in range(len(lams))])
+    checks = []
+    for lambda0, lam, mc in zip(lambda0s, lams, mcs):
+        result = transfer_evaluate(build_kernel(params, lambda0, xi))
+        mc_value = mc.value
+        mc_stderr = abs(mc_value) * mc.relative_stderr
+        sigma = math.hypot(mc_stderr, result.quadrature_error_estimate)
+        z = (result.f2 - mc_value) / sigma if sigma > 0 else math.inf
+        checks.append(CrossValidation(lam, result, mc, mc_value, mc_stderr, z, abs(z) <= 3.0))
+    return checks

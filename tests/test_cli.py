@@ -17,6 +17,8 @@ from scipy.special import erfc, gammainc
 from bandmoments import cli, group_integrals, moments
 from bandmoments.cli import CheckRow, load_config_file, main
 from bandmoments.group_integrals import hciz_u2
+from bandmoments.lattice import LatticeParams
+from bandmoments.transfer import cross_validate
 
 
 def _read(path: Path) -> str:
@@ -289,6 +291,24 @@ class TestVerifyCommands:
         assert ids == [f"reduction_t{si}_{name}{suffix}" for si in range(3)
                        for name in ("one", "trace", "gap_sq")
                        for suffix in ("", "_stderr_ok")]
+
+    def test_transfer_rows_equal_per_point_cross_validations(self):
+        # one Monte Carlo scan per (n, W) serves both lambda0, to the last bit
+        rows = cli.transfer_suite(seed=3, samples=3000, workers=1)
+        expected = []
+        for n, w in cli._TRANSFER_POINTS:
+            for lambda0 in (0.0, 1.0):
+                cv = cross_validate(LatticeParams(n, w), lambda0, 0.0, mc_samples=3000,
+                                    master_seed=3, workers=1)
+                tag = f"n{n}_w{w:g}_l{lambda0:g}"
+                expected += [CheckRow(f"transfer_mc_{tag}", cv.z_score, 0.0, 3.0),
+                             CheckRow(f"transfer_imag_{tag}", cv.transfer.imag_ratio, 0.0, 1e-6)]
+                if n == 0:
+                    sigma = math.hypot(cv.mc_stderr, cv.transfer.quadrature_error_estimate)
+                    expected.append(CheckRow(f"transfer_n1_closed_form_l{lambda0:g}",
+                                             abs(cv.transfer.f2 - (cv.lam**2 + 2.0)),
+                                             0.0, 3.0 * sigma))
+        assert rows == expected
 
     def test_chain_suite(self, tmp_path):
         out = tmp_path / "c"

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from scipy.integrate import quad
 from scipy.special import erfc, gammaincc
 from scipy.stats import ks_2samp
 
-from bandmoments import group_integrals
-from bandmoments.chain import tail_probability
+from bandmoments import chain, group_integrals
+from bandmoments.chain import sample_chain, tail_probability
 from bandmoments.ensemble import RngStream
 from bandmoments.group_integrals import (TAYLOR_CUTOFF, HcizParams, _coset_u2_params,
                                          _sp2_generic, _sp2_params, _sp2_series,
@@ -385,3 +386,88 @@ class TestReductionCheck:
 def test_monte_carlo_rejects_empty_draw_budget(run, draws):
     with pytest.raises(ValueError, match="draws"):
         run(draws)
+
+
+# complex arguments: the integrands then fill complex buffers, their largest
+COMPLEX_ANCHOR = HcizParams(0.7 + 0.4j, 1.0, -1.0 + 0.5j, 1.0, -1.0)
+TAIL_SITES = 36
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# (run, module, chunk constant, bytes a draw holds while its batch is in hand):
+# 16 of parameters and 16 of complex values in mc_hciz_u2; 32, 8 and 16 in
+# mc_hciz_sp2; 40 of normal and exponential variates in reduction_check; one
+# row of the chain in tail_probability
+@pytest.mark.parametrize("run,module,chunk,per_draw", [
+    (lambda draws: mc_hciz_u2(COMPLEX_ANCHOR, draws, RngStream(0)),
+     group_integrals, "_U2_CHUNK", 32),
+    (lambda draws: mc_hciz_sp2(COMPLEX_ANCHOR, draws, RngStream(0)),
+     group_integrals, "_SP2_CHUNK", 56),
+    (lambda draws: reduction_check(1.0, 1.0, -1.0, (lambda y1, y2: y1 + y2,
+                                                    lambda y1, y2: (y1 - y2) ** 2),
+                                   draws, RngStream(0)),
+     group_integrals, "_REDUCTION_CHUNK", 40),
+    (lambda draws: tail_probability(TAIL_SITES, 9.0, 1.0, 0.5, draws, RngStream(0)),
+     chain, "_TAIL_CHUNK", 8 * TAIL_SITES),
+], ids=["mc_hciz_u2", "mc_hciz_sp2", "reduction_check", "tail_probability"])
+def test_monte_carlo_holds_one_batch(run, module, chunk, per_draw):
+    # a loop that kept its last batch while drawing the next would hold two
+    size = getattr(module, chunk)
+    peaks = [_traced_peak(lambda: run(batches * size)) for batches in (2, 8)]
+    assert peaks[1] <= peaks[0] + 2**16
+    assert max(peaks) < per_draw * size + 2**20
+
+
+def _plain_mean(integrand, draw_params, draws, chunk):
+    """(mean, stderr) of integrand over seed-0 batches, without buffers reused."""
+    gen = RngStream(0).generator()
+    total, total_sq = 0.0 + 0.0j, 0.0
+    for done in range(0, draws, chunk):
+        vals = integrand(*draw_params(min(chunk, draws - done), gen))
+        total += np.sum(vals)
+        total_sq += float(np.sum(np.abs(vals) ** 2))
+    mean = total / draws
+    return complex(mean), math.sqrt(max(total_sq / draws - abs(mean) ** 2, 0.0) / draws)
+
+
+class TestInPlaceIntegrands:
+    """The Monte Carlo loops compute in their own buffers, to the last bit."""
+
+    # two full batches and a short one
+    CHUNK = 1000
+    DRAWS = 2500
+
+    @pytest.mark.parametrize("p", [ANCHOR, COMPLEX_ANCHOR], ids=["real", "complex"])
+    def test_u2_equals_plain_expression(self, monkeypatch, p):
+        monkeypatch.setattr(group_integrals, "_U2_CHUNK", self.CHUNK)
+        e1, _, tt = p.exponents()
+        plain = _plain_mean(lambda s, alpha: np.exp(e1 - tt * s), _coset_u2_params,
+                            self.DRAWS, self.CHUNK)
+        assert mc_hciz_u2(p, self.DRAWS, RngStream(0)) == plain
+
+    @pytest.mark.parametrize("p", [ANCHOR, COMPLEX_ANCHOR], ids=["real", "complex"])
+    def test_sp2_equals_plain_expression(self, monkeypatch, p):
+        monkeypatch.setattr(group_integrals, "_SP2_CHUNK", self.CHUNK)
+        e1, _, tt = p.exponents()
+        plain = _plain_mean(
+            lambda s_u, alpha, s_v, beta: np.exp(e1 - tt * (s_u + s_v - 2.0 * s_u * s_v)),
+            _sp2_params, self.DRAWS, self.CHUNK)
+        assert mc_hciz_sp2(p, self.DRAWS, RngStream(0)) == plain
+
+    def test_tail_equals_count_on_plain_abs(self, monkeypatch):
+        monkeypatch.setattr(chain, "_TAIL_CHUNK", self.CHUNK)
+        gen = RngStream(5).generator()
+        exceed = 0
+        for done in range(0, self.DRAWS, self.CHUNK):
+            x = sample_chain(16, 4.0, 1.0, gen, size=min(self.CHUNK, self.DRAWS - done))
+            exceed += int(np.sum(np.max(np.abs(x), axis=1) > 0.6 * 4.0))
+        assert 0 < exceed < self.DRAWS
+        assert tail_probability(16, 4.0, 1.0, 0.6, self.DRAWS, RngStream(5)) == exceed / self.DRAWS
