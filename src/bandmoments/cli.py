@@ -13,10 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -174,13 +177,13 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, summary: dict,
 
 
 def _write_verify(outdir: Path, command: str, cfg: dict, rows: list[CheckRow],
-                  summary: dict) -> int:
+                  summary: dict, environment: dict) -> int:
     _write_csv(outdir / "verify.csv", _VERIFY_SCHEMA,
                [(r.check_id, r.measured, r.reference, r.tolerance, int(r.passed))
                 for r in rows])
     failed = [r.check_id for r in rows if not r.passed]
     _write_manifest(outdir, command, cfg,
-                    {"checks": len(rows), "failed": failed, **summary})
+                    {"checks": len(rows), "failed": failed, **summary}, **environment)
     for r in rows:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.check_id}: "
               f"measured={r.measured:.6g} reference={r.reference:.6g} "
@@ -275,6 +278,49 @@ def cmd_scan_f2(cfg: dict) -> int:
 # verify suites
 # ----------------------------------------------------------------------
 
+_M_ARENA_MAX = -8              # mallopt parameter of glibc's malloc.h
+
+
+@cache
+def _one_malloc_arena() -> None:
+    """Have glibc's malloc serve every thread from one arena; skipped without mallopt.
+
+    A worker thread otherwise gets an arena of its own, which keeps the
+    thread's last batch of draws resident after the pool exits.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_ARENA_MAX, 1)
+
+
+def _pool_size(count: int) -> int:
+    """Threads for count independent points: one per CPU this process may run on."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(count, cpus)
+
+
+def _run_points(points: list) -> list:
+    """[point() for point in points], run on _pool_size(len(points)) threads.
+
+    numpy releases the GIL inside its generator fills and ufunc loops, so
+    independent Monte Carlo points overlap on the threads.  Each point draws
+    from its own stream and keeps its own sums, so the results, returned in
+    input order, do not depend on the thread count.  An exception raised by
+    a point propagates from here after the points already running finish; the
+    points still queued never start.  The threads see the process-wide
+    warnings filters, but not an np.errstate set by the caller, which holds
+    in the caller's thread only.
+    """
+    _one_malloc_arena()
+    with ThreadPoolExecutor(_pool_size(len(points))) as pool:
+        return list(pool.map(lambda point: point(), points))
+
+
 def _hciz_parameter_sets(seed: int, count: int) -> list[HcizParams]:
     rng = np.random.default_rng(seed)
     sets = []
@@ -285,26 +331,29 @@ def _hciz_parameter_sets(seed: int, count: int) -> list[HcizParams]:
     return sets
 
 
-def hciz_suite(seed: int, sets: int, draws: int) -> list[CheckRow]:
-    """Closed forms vs quadrature and vs Monte Carlo over both cosets."""
+def _hciz_run(seed: int, sets: int, draws: int) -> tuple[list[CheckRow], dict, dict]:
+    """hciz_suite's rows, no summary, and the threads of its Monte Carlo points."""
     rows = []
     params = _hciz_parameter_sets(seed, sets)
     for k, p in enumerate(params):
         exact = hciz_u2(p)
         rel = abs(u2_quadrature(p) - exact) / abs(exact)
         rows.append(CheckRow(f"hciz_u2_quad_{k:02d}", rel, 0.0, 1e-8))
+    points = ([partial(mc_hciz_sp2, p, draws, RngStream(seed, 100 + k))
+               for k, p in enumerate(params)]
+              + [partial(mc_hciz_u2, p, draws, RngStream(seed, 200 + k))
+                 for k, p in enumerate(params)])
     if draws > 0:
         # the 0.3% stderr budget is stated at 1e6 draws; scale for smaller runs
         stderr_tol = 3e-3 * math.sqrt(max(1_000_000 / draws, 1.0))
-        for k, p in enumerate(params):
+        results = _run_points(points)
+        for k, (p, (mean, se)) in enumerate(zip(params, results[:sets])):
             exact = hciz_sp2(p)
-            mean, se = mc_hciz_sp2(p, draws, RngStream(seed, 100 + k))
             rows.append(CheckRow(f"hciz_sp2_mc_{k:02d}", abs(mean - exact) / se,
                                  0.0, 3.0))
             rows.append(CheckRow(f"hciz_sp2_mc_stderr_{k:02d}", se / abs(exact),
                                  0.0, stderr_tol))
-        for k, p in enumerate(params):
-            mean, se = mc_hciz_u2(p, draws, RngStream(seed, 200 + k))
+        for k, (p, (mean, se)) in enumerate(zip(params, results[sets:])):
             rows.append(CheckRow(f"hciz_u2_mc_{k:02d}",
                                  abs(mean - hciz_u2(p)) / se, 0.0, 3.0))
     # Taylor/generic continuity: hciz_sp2 just below and just above the seam,
@@ -322,7 +371,15 @@ def hciz_suite(seed: int, sets: int, draws: int) -> list[CheckRow]:
         p = HcizParams(base.t, base.c1, base.c2, base.d1 + eps, base.d2)
         rows.append(CheckRow(f"hciz_u2_degenerate_{k}",
                              abs(hciz_u2(p) - limit), 0.0, 10.0 * eps))
-    return rows
+    return rows, {}, {"pool_threads": _pool_size(len(points))}
+
+
+def hciz_suite(seed: int, sets: int, draws: int) -> list[CheckRow]:
+    """Closed forms vs quadrature and vs Monte Carlo over both cosets.
+
+    The 2 * sets Monte Carlo points run on threads (see _run_points).
+    """
+    return _hciz_run(seed, sets, draws)[0]
 
 
 def chain_suite(seed: int, tail_draws: int) -> list[CheckRow]:
@@ -377,12 +434,13 @@ _REDUCTION_PHIS = (
 )
 
 
-def _reduction_run(seed: int, draws: int) -> tuple[list[CheckRow], dict]:
-    """reduction_suite's rows, and the draws each setting kept and dropped."""
+def _reduction_run(seed: int, draws: int) -> tuple[list[CheckRow], dict, dict]:
+    """reduction_suite's rows, the draws each setting kept and dropped, and its threads."""
     rows, truncation = [], []
     names, phis = zip(*_REDUCTION_PHIS)
-    for si, (t, d1, d2) in enumerate(_REDUCTION_SETTINGS):
-        reports = reduction_check(t, d1, d2, phis, draws=draws, rng=RngStream(seed, si))
+    points = [partial(reduction_check, t, d1, d2, phis, draws=draws, rng=RngStream(seed, si))
+              for si, (t, d1, d2) in enumerate(_REDUCTION_SETTINGS)]
+    for (si, (t, d1, d2)), reports in zip(enumerate(_REDUCTION_SETTINGS), _run_points(points)):
         for name, rep in zip(names, reports):
             rows.append(CheckRow(f"reduction_t{si}_{name}", rep.relative_difference,
                                  0.0, 0.01))
@@ -391,13 +449,14 @@ def _reduction_run(seed: int, draws: int) -> tuple[list[CheckRow], dict]:
         kept = reports[0].kept
         truncation.append({"setting": f"t{si}", "t": t, "d1": d1, "d2": d2,
                            "kept": kept, "dropped": draws - kept})
-    return rows, {"truncation": truncation}
+    return rows, {"truncation": truncation}, {"pool_threads": _pool_size(len(points))}
 
 
 def reduction_suite(seed: int, draws: int) -> list[CheckRow]:
     """6-dim MC vs 2-dim reduced quadrature for polynomial observables.
 
-    The observables of a setting share one set of draws.
+    The observables of a setting share one set of draws; the settings run on
+    threads (see _run_points).
     """
     return _reduction_run(seed, draws)[0]
 
@@ -427,8 +486,9 @@ def transfer_suite(seed: int, samples: int, workers: int) -> list[CheckRow]:
 def _run_suite(command: str, cfg: dict) -> int:
     """Call the command's suite with its config keys, except out, as arguments."""
     suite = _SUITES[command][0]
-    rows, summary = suite(**{key: value for key, value in cfg.items() if key != "out"})
-    return _write_verify(_outdir(cfg), command, cfg, rows, summary)
+    rows, summary, environment = suite(**{key: value for key, value in cfg.items()
+                                          if key != "out"})
+    return _write_verify(_outdir(cfg), command, cfg, rows, summary, environment)
 
 
 def cmd_report(cfg: dict) -> int:
@@ -451,14 +511,15 @@ def cmd_report(cfg: dict) -> int:
 
 def _rows_only(suite):
     """A suite runner whose manifest records nothing beyond the checks."""
-    return lambda **kwargs: (suite(**kwargs), {})
+    return lambda **kwargs: (suite(**kwargs), {}, {})
 
 
 # name -> (function, help, defaults); the defaults declare each command's
 # config keys, their types and the flags the parser offers.  A suite's
-# function returns its check rows and a dict of extra manifest summary.
+# function returns its check rows and two dicts for the manifest: extra
+# summary and extra environment.
 _SUITES = {
-    "verify-hciz": (_rows_only(hciz_suite), "group integral identities",
+    "verify-hciz": (_hciz_run, "group integral identities",
                     dict(seed=0, sets=20, draws=1_000_000, out="out")),
     "verify-chain": (_rows_only(chain_suite), "chain determinant and tails",
                      dict(seed=0, tail_draws=40_000, out="out")),

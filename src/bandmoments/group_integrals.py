@@ -48,7 +48,7 @@ TAYLOR_CUTOFF = 5e-2
 
 _U2_NODES = 96                 # Gauss-Legendre nodes in s of u2_quadrature
 # Draws per batch.  Each Monte Carlo loop holds one batch at a time, at most
-# 32 bytes a draw in mc_hciz_u2, 56 in mc_hciz_sp2 and 40 in reduction_check
+# 24 bytes a draw in mc_hciz_u2, 40 in mc_hciz_sp2 and 40 in reduction_check
 # (2.5 MiB at 2^16).  A batch fills each of its arrays in turn, so its size
 # is part of the draws: the U(2) and Sp(2) sizes fix verify-hciz's rows.
 _U2_CHUNK = 200_000
@@ -148,6 +148,31 @@ def _sp2_params(count: int, gen: np.random.Generator) -> tuple[np.ndarray, ...]:
     return s_u, alpha, _sp2_weight_inverse_cdf(p_v), beta
 
 
+def _skip_uniforms(gen: np.random.Generator, count: int) -> None:
+    """Move gen past count uniform doubles, as if they were drawn and dropped.
+
+    A uniform double takes one 64-bit output of PCG64, the bit generator of
+    default_rng, so PCG64 advances by count; any other draws and drops them.
+    """
+    if isinstance(gen.bit_generator, np.random.PCG64):
+        gen.bit_generator.advance(count)
+    else:
+        gen.random(count)
+
+
+def _coset_u2_s(count: int, gen: np.random.Generator) -> np.ndarray:
+    """The s of _coset_u2_params(count, gen), stepping over the phases no integrand reads."""
+    s = gen.uniform(0.0, 1.0, count)
+    _skip_uniforms(gen, count)
+    return s
+
+
+def _sp2_s(count: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The (s_U, s_V) of _sp2_params(count, gen), stepping over its phases."""
+    s_u = _coset_u2_s(count, gen)
+    return s_u, _sp2_weight_inverse_cdf(_coset_u2_s(count, gen))
+
+
 def sample_sp2(count: int, rng) -> np.ndarray:
     """(count, 4, 4) draws of P = V U from dnu(P) = 3(1 - 2|V_12|^2)^2 dmu(U) dmu(V).
 
@@ -206,14 +231,14 @@ def _check_budget(draws: int) -> None:
         raise ValueError(f"draws must be at least 1, got {draws}")
 
 
-def _mc_mean(integrand, draw_params, draws: int, rng, chunk: int) -> tuple[complex, float]:
-    """(mean, stderr) of integrand(*params) over draw_params(b, gen) batches of at most chunk."""
+def _mc_mean(batch_values, draws: int, rng, chunk: int) -> tuple[complex, float]:
+    """(mean, stderr) of the integrand values batch_values(b, gen) in batches of at most chunk."""
     _check_budget(draws)
     gen = as_generator(rng)
     total = 0.0 + 0.0j
     total_sq = 0.0
     for done in range(0, draws, chunk):
-        vals = integrand(*draw_params(min(chunk, draws - done), gen))
+        vals = batch_values(min(chunk, draws - done), gen)
         total += np.sum(vals)
         sq = np.abs(vals)
         total_sq += float(np.sum(np.square(sq, out=sq)))
@@ -233,12 +258,11 @@ def _exp_linear(e1: complex, tt: complex, s: np.ndarray) -> np.ndarray:
 def mc_hciz_u2(p: HcizParams, draws: int, rng) -> tuple[complex, float]:
     """Monte Carlo of exp(E1 - tt s) over the draws of sample_coset_u2; returns (mean, stderr)."""
     e1, _, tt = p.exponents()
-    return _mc_mean(lambda s, alpha: _exp_linear(e1, tt, s), _coset_u2_params, draws, rng,
+    return _mc_mean(lambda b, gen: _exp_linear(e1, tt, _coset_u2_s(b, gen)), draws, rng,
                     _U2_CHUNK)
 
 
-def _sp2_integrand(e1: complex, tt: complex, s_u: np.ndarray, alpha: np.ndarray,
-                   s_v: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def _sp2_integrand(e1: complex, tt: complex, s_u: np.ndarray, s_v: np.ndarray) -> np.ndarray:
     """exp(e1 - tt q), q = s_u + s_v - 2 s_u s_v, overwriting s_u with q."""
     prod = np.multiply(2.0, s_u)
     prod *= s_v
@@ -250,7 +274,7 @@ def _sp2_integrand(e1: complex, tt: complex, s_u: np.ndarray, alpha: np.ndarray,
 def mc_hciz_sp2(p: HcizParams, draws: int, rng) -> tuple[complex, float]:
     """Monte Carlo of int exp(t Tr G P* H P / 2) dnu(P) as exp(E1 - tt q); see sample_sp2."""
     e1, _, tt = p.exponents()
-    return _mc_mean(lambda *params: _sp2_integrand(e1, tt, *params), _sp2_params, draws, rng,
+    return _mc_mean(lambda b, gen: _sp2_integrand(e1, tt, *_sp2_s(b, gen)), draws, rng,
                     _SP2_CHUNK)
 
 

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import threading
 import warnings
 from pathlib import Path
 
@@ -16,7 +18,9 @@ from scipy.special import erfc, gammainc
 
 from bandmoments import cli, group_integrals, moments
 from bandmoments.cli import CheckRow, load_config_file, main
-from bandmoments.group_integrals import hciz_u2
+from bandmoments.ensemble import RngStream
+from bandmoments.group_integrals import (hciz_sp2, hciz_u2, mc_hciz_sp2, mc_hciz_u2,
+                                         reduction_check)
 from bandmoments.lattice import LatticeParams
 from bandmoments.transfer import cross_validate
 
@@ -310,6 +314,53 @@ class TestVerifyCommands:
                                              0.0, 3.0 * sigma))
         assert rows == expected
 
+    def test_pooled_rows_equal_serial_per_point_calls(self):
+        # the points run on threads; each keeps its stream and sums, to the last bit
+        seed, sets, draws = 2, 3, 5000
+        rows = {r.check_id: r for r in cli.hciz_suite(seed, sets, draws)}
+        for k, p in enumerate(cli._hciz_parameter_sets(seed, sets)):
+            mean, se = mc_hciz_sp2(p, draws, RngStream(seed, 100 + k))
+            assert rows[f"hciz_sp2_mc_{k:02d}"].measured == abs(mean - hciz_sp2(p)) / se
+            assert rows[f"hciz_sp2_mc_stderr_{k:02d}"].measured == se / abs(hciz_sp2(p))
+            mean, se = mc_hciz_u2(p, draws, RngStream(seed, 200 + k))
+            assert rows[f"hciz_u2_mc_{k:02d}"].measured == abs(mean - hciz_u2(p)) / se
+        expected = []
+        for si, (t, d1, d2) in enumerate(cli._REDUCTION_SETTINGS):
+            for name, phi in cli._REDUCTION_PHIS:
+                rep = reduction_check(t, d1, d2, phi, draws=draws, rng=RngStream(seed, si))
+                expected += [CheckRow(f"reduction_t{si}_{name}", rep.relative_difference,
+                                      0.0, 0.01),
+                             CheckRow(f"reduction_t{si}_{name}_stderr_ok",
+                                      float(rep.stderr_ok), 1.0, 0.5)]
+        assert cli.reduction_suite(seed, draws) == expected
+
+    @staticmethod
+    def _pool_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
+    def test_error_in_a_pooled_point_fails_the_command(self, tmp_path, monkeypatch):
+        def fail(p, draws, rng):
+            raise ArithmeticError("point failed")
+
+        monkeypatch.setattr(cli, "mc_hciz_u2", fail)
+        out = tmp_path / "e"
+        with pytest.raises(ArithmeticError, match="point failed"):
+            main(["verify-hciz"] + self.FAST + ["--out", str(out)])
+        assert not (out / "verify.csv").exists()
+        assert self._pool_threads() == []
+
+    def test_runtime_warning_in_a_pooled_point_is_an_error(self, tmp_path, monkeypatch):
+        # the warnings filters are process-wide, so the pool threads see them
+        monkeypatch.setattr(cli, "_REDUCTION_PHIS",
+                            (("log", lambda y1, y2: np.log(y1 - y1 - 1.0)),))
+        out = tmp_path / "w"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="invalid value"):
+                main(["verify-reduction", "--draws", "2000", "--out", str(out)])
+        assert not (out / "verify.csv").exists()
+        assert self._pool_threads() == []
+
     def test_chain_suite(self, tmp_path):
         out = tmp_path / "c"
         code = main(["verify-chain", "--tail-draws", "20000", "--out", str(out)])
@@ -369,6 +420,18 @@ class TestManifest:
                      "--out", str(tmp_path / "f")]) == 0
         manifest = json.loads(_read(tmp_path / "f" / "manifest.json"))
         assert manifest["environment"] == {**expected, "sample_source": "dumitriu-edelman"}
+
+
+    def test_pooled_suites_record_their_threads(self, tmp_path):
+        # at so few draws some rows fail; the manifest is written all the same
+        cpus = len(os.sched_getaffinity(0))
+        for argv, points in ((["verify-hciz", "--sets", "2", "--draws", "2000"], 4),
+                             (["verify-reduction", "--draws", "2000"], 3)):
+            out = tmp_path / argv[0]
+            main(argv + ["--out", str(out)])
+            environment = json.loads(_read(out / "manifest.json"))["environment"]
+            assert environment["pool_threads"] == min(points, cpus)
+            assert list(environment)[-2:] == ["openblas_threads", "pool_threads"]
 
 
 class TestCheckRow:

@@ -16,7 +16,8 @@ from bandmoments import chain, group_integrals
 from bandmoments.chain import sample_chain, tail_probability
 from bandmoments.ensemble import RngStream
 from bandmoments.group_integrals import (TAYLOR_CUTOFF, HcizParams, _coset_u2_params,
-                                         _sp2_generic, _sp2_params, _sp2_series,
+                                         _coset_u2_s, _sp2_generic, _sp2_params,
+                                         _sp2_s, _sp2_series,
                                          _sp2_weight_inverse_cdf, hciz_sp2,
                                          hciz_u2, mc_hciz_sp2, mc_hciz_u2,
                                          reduction_check, sample_coset_u2,
@@ -233,6 +234,24 @@ class TestOneSampler:
         assert mean == np.sum(vals) / len(vals)
         assert se == pytest.approx(np.std(vals) / math.sqrt(len(vals)), rel=1e-9)
 
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_phase_free_draws_equal_sampler_draws(self, bit_generator):
+        # the Monte Carlo loops step over the phases: same s, same raw outputs after
+        def gens():
+            return bit_generator(7), bit_generator(7)
+
+        full, skip = (np.random.Generator(b) for b in gens())
+        s, _ = _coset_u2_params(1_001, full)
+        np.testing.assert_array_equal(_coset_u2_s(1_001, skip), s)
+        np.testing.assert_array_equal(skip.bit_generator.random_raw(4),
+                                      full.bit_generator.random_raw(4))
+        full, skip = (np.random.Generator(b) for b in gens())
+        s_u, _, s_v, _ = _sp2_params(1_001, full)
+        for got, want in zip(_sp2_s(1_001, skip), (s_u, s_v)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(skip.bit_generator.random_raw(4),
+                                      full.bit_generator.random_raw(4))
+
     def test_u2_integrand_matches_full_matrix(self):
         c = np.array([self.P.c1, self.P.c2])
         d = np.array([self.P.d1, self.P.d2])
@@ -403,14 +422,14 @@ def _traced_peak(run) -> int:
 
 
 # (run, module, chunk constant, bytes a draw holds while its batch is in hand):
-# 16 of parameters and 16 of complex values in mc_hciz_u2; 32, 8 and 16 in
-# mc_hciz_sp2; 40 of normal and exponential variates in reduction_check; one
-# row of the chain in tail_probability
+# 8 of s and 16 of complex values in mc_hciz_u2; 16 of (s_U, s_V), 8 and 16
+# in mc_hciz_sp2; 40 of normal and exponential variates in reduction_check;
+# one row of the chain in tail_probability
 @pytest.mark.parametrize("run,module,chunk,per_draw", [
     (lambda draws: mc_hciz_u2(COMPLEX_ANCHOR, draws, RngStream(0)),
-     group_integrals, "_U2_CHUNK", 32),
+     group_integrals, "_U2_CHUNK", 24),
     (lambda draws: mc_hciz_sp2(COMPLEX_ANCHOR, draws, RngStream(0)),
-     group_integrals, "_SP2_CHUNK", 56),
+     group_integrals, "_SP2_CHUNK", 40),
     (lambda draws: reduction_check(1.0, 1.0, -1.0, (lambda y1, y2: y1 + y2,
                                                     lambda y1, y2: (y1 - y2) ** 2),
                                    draws, RngStream(0)),
