@@ -39,7 +39,7 @@ __all__ = [
 # tracking can no longer be trusted.
 _BRANCH_PIVOT_RTOL = 1e-14
 
-_TAIL_CHUNK = 20_000    # chains per batch of tail_probability; fixes verify-chain's draws
+_TAIL_CHUNK = 10_000    # chains per batch of tail_probability; fixes verify-chain's draws
 
 
 @dataclass(frozen=True)
@@ -129,21 +129,32 @@ def sample_chain(m: int, W: float, gamma_real: float, rng, size: int) -> np.ndar
     return x.T
 
 
-def tail_probability(m: int, W: float, gamma_real: float, delta: float,
-                     draws: int, rng) -> float:
+def tail_probability(m: int, W: float, gamma_real: float, delta, draws: int,
+                     rng) -> float | tuple[float, ...]:
     """Empirical frequency of max_i |x_i| > delta * W over `draws` chain draws.
 
-    The chains are drawn from `rng` in batches of 20,000, one batch held at a
-    time.
+    The chains are drawn from `rng` in batches of 10,000, one batch held at a
+    time.  `delta` may also be a sequence: its thresholds share one set of
+    chains, max |x| is taken once per chain, and a tuple with one frequency
+    per threshold is returned, each equal to that of a scalar call on the
+    same rng.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    scalar = np.ndim(delta) == 0
+    deltas = (delta,) if scalar else tuple(delta)
+    if not deltas:
+        raise ValueError("delta needs at least one threshold")
+    for d in deltas:
+        if not d > 0:
+            raise ValueError(f"delta must be positive, got {d}")
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     gen = as_generator(rng)
-    exceed = 0
+    exceed = [0] * len(deltas)
     for start in range(0, draws, _TAIL_CHUNK):
         x = sample_chain(m, W, gamma_real, gen, size=min(_TAIL_CHUNK, draws - start))
-        exceed += int(np.sum(np.max(np.abs(x, out=x), axis=1) > delta * W))
+        peak = np.max(np.abs(x, out=x), axis=1)
         del x                               # free the batch before the next is drawn
-    return exceed / draws
+        for k, d in enumerate(deltas):
+            exceed[k] += int(np.sum(peak > d * W))
+    freqs = tuple(e / draws for e in exceed)
+    return freqs[0] if scalar else freqs

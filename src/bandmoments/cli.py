@@ -16,7 +16,6 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache, partial
@@ -29,9 +28,8 @@ from . import __version__
 from .chain import (ChainParams, chain_log_asymptotic, chain_log_partition,
                     chain_logdet, chain_operator, tail_probability)
 from .ensemble import RngStream, goe_profile, sample_symmetric
-from .group_integrals import (TAYLOR_CUTOFF, HcizParams, hciz_sp2, hciz_u2,
-                              mc_hciz_sp2, mc_hciz_u2, reduction_check,
-                              u2_quadrature)
+from .group_integrals import (TAYLOR_CUTOFF, HcizParams, _reduction_reports, _reduction_sums,
+                              hciz_sp2, hciz_u2, mc_hciz_sp2, mc_hciz_u2, u2_quadrature)
 from .kernels import semicircle_cdf
 from .lattice import LatticeParams, variance_profile
 from .moments import (_SCAN_BLAS_THREADS, ScanConfig, _openblas_threads,
@@ -315,7 +313,15 @@ def _run_points(points: list) -> list:
     points still queued never start.  The threads see the process-wide
     warnings filters, but not an np.errstate set by the caller, which holds
     in the caller's thread only.
+
+    Scans keep their process pool: two threads running their blocks were no
+    faster than one thread running them in turn.  Two band scan blocks
+    (OPENBLAS_NUM_THREADS=1, 2 vCPUs) took 0.85-1.24 s one after the other
+    against 0.98-1.09 s on two threads at N=9, 2e5 samples, and 2.14-2.22 s
+    against 2.22-2.46 s at N=33, 4e4 samples.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     _one_malloc_arena()
     with ThreadPoolExecutor(_pool_size(len(points))) as pool:
         return list(pool.map(lambda point: point(), points))
@@ -382,8 +388,12 @@ def hciz_suite(seed: int, sets: int, draws: int) -> list[CheckRow]:
     return _hciz_run(seed, sets, draws)[0]
 
 
-def chain_suite(seed: int, tail_draws: int) -> list[CheckRow]:
-    """Determinant oracle, sinh asymptotics, and tail-decay regression."""
+_TAIL_WIDTHS = (4.0, 6.0, 9.0)
+_TAIL_DELTAS = (0.5, 0.7, 0.9)
+
+
+def _chain_run(seed: int, tail_draws: int) -> tuple[list[CheckRow], dict, dict]:
+    """chain_suite's rows, no summary, and the threads of its tail points."""
     rows = []
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -405,14 +415,13 @@ def chain_suite(seed: int, tail_draws: int) -> list[CheckRow]:
     shrinking = all(b < a for a, b in zip(errors, errors[1:]))
     rows.append(CheckRow("chain_asymptotic_shrinks_with_W", float(not shrinking), 0.0, 0.5))
 
-    # tail frequencies: log-freq against delta^2 W must fit a negative slope
-    points = []
-    for w in (4.0, 6.0, 9.0):
-        for delta in (0.5, 0.7, 0.9):
-            freq = tail_probability(int(4 * w), w, 1.0, delta, tail_draws,
-                                    RngStream(seed, int(w * 10 + delta * 100)))
-            if 0.0 < freq < 0.95:
-                points.append((delta**2 * w, math.log(freq)))
+    # tail frequencies: log-freq against delta^2 W must fit a negative slope.
+    # The thresholds of one W share its chains; the W run on threads.
+    tails = [partial(tail_probability, int(4 * w), w, 1.0, _TAIL_DELTAS, tail_draws,
+                     RngStream(seed, int(w * 10 + 50))) for w in _TAIL_WIDTHS]
+    points = [(delta**2 * w, math.log(freq))
+              for w, freqs in zip(_TAIL_WIDTHS, _run_points(tails))
+              for delta, freq in zip(_TAIL_DELTAS, freqs) if 0.0 < freq < 0.95]
     if len(points) < 2:  # nothing to fit: both tail rows fail
         slope = r2 = math.nan
     else:
@@ -422,7 +431,15 @@ def chain_suite(seed: int, tail_draws: int) -> list[CheckRow]:
         r2 = 1.0 - np.sum(resid**2) / np.sum((y - np.mean(y)) ** 2)
     rows.append(CheckRow("chain_tail_slope_negative", float(slope < 0.0), 1.0, 0.5))
     rows.append(CheckRow("chain_tail_fit_r2", float(r2), 1.0, 0.1))
-    return rows
+    return rows, {}, {"pool_threads": _pool_size(len(tails))}
+
+
+def chain_suite(seed: int, tail_draws: int) -> list[CheckRow]:
+    """Determinant oracle, sinh asymptotics, and tail-decay regression.
+
+    The three W of the tail regression run on threads (see _run_points).
+    """
+    return _chain_run(seed, tail_draws)[0]
 
 
 _REDUCTION_SETTINGS = ((1.0, 1.5, 0.5), (2.0, 1.0, -0.3), (0.8, 2.0, 0.6))
@@ -434,29 +451,39 @@ _REDUCTION_PHIS = (
 )
 
 
+# substreams of verify-reduction: its draws are split over them whatever the
+# thread count, so its rows do not depend on it
+_REDUCTION_STREAMS = 4
+
+
 def _reduction_run(seed: int, draws: int) -> tuple[list[CheckRow], dict, dict]:
-    """reduction_suite's rows, the draws each setting kept and dropped, and its threads."""
-    rows, truncation = [], []
+    """reduction_suite's rows, a summary of its substreams and truncation, and its threads."""
     names, phis = zip(*_REDUCTION_PHIS)
-    points = [partial(reduction_check, t, d1, d2, phis, draws=draws, rng=RngStream(seed, si))
-              for si, (t, d1, d2) in enumerate(_REDUCTION_SETTINGS)]
-    for (si, (t, d1, d2)), reports in zip(enumerate(_REDUCTION_SETTINGS), _run_points(points)):
+    base, extra = divmod(draws, _REDUCTION_STREAMS)
+    points = [partial(_reduction_sums, _REDUCTION_SETTINGS, phis, base + (k < extra),
+                      RngStream(seed, k)) for k in range(min(draws, _REDUCTION_STREAMS))]
+    # the substreams' sums, added in stream order
+    totals, totals_sq, kept = (sum(part) for part in zip(*_run_points(points)))
+    rows, truncation = [], []
+    for si, (t, d1, d2) in enumerate(_REDUCTION_SETTINGS):
+        reports = _reduction_reports(t, d1, d2, phis, totals[si].tolist(),
+                                     totals_sq[si].tolist(), kept)
         for name, rep in zip(names, reports):
             rows.append(CheckRow(f"reduction_t{si}_{name}", rep.relative_difference,
                                  0.0, 0.01))
             rows.append(CheckRow(f"reduction_t{si}_{name}_stderr_ok",
                                  float(rep.stderr_ok), 1.0, 0.5))
-        kept = reports[0].kept
         truncation.append({"setting": f"t{si}", "t": t, "d1": d1, "d2": d2,
                            "kept": kept, "dropped": draws - kept})
-    return rows, {"truncation": truncation}, {"pool_threads": _pool_size(len(points))}
+    return (rows, {"substreams": len(points), "truncation": truncation},
+            {"pool_threads": _pool_size(len(points))})
 
 
 def reduction_suite(seed: int, draws: int) -> list[CheckRow]:
     """6-dim MC vs 2-dim reduced quadrature for polynomial observables.
 
-    The observables of a setting share one set of draws; the settings run on
-    threads (see _run_points).
+    Every setting and observable shares one set of draws, split over
+    _REDUCTION_STREAMS substreams that run on threads (see _run_points).
     """
     return _reduction_run(seed, draws)[0]
 
@@ -521,7 +548,7 @@ def _rows_only(suite):
 _SUITES = {
     "verify-hciz": (_hciz_run, "group integral identities",
                     dict(seed=0, sets=20, draws=1_000_000, out="out")),
-    "verify-chain": (_rows_only(chain_suite), "chain determinant and tails",
+    "verify-chain": (_chain_run, "chain determinant and tails",
                      dict(seed=0, tail_draws=40_000, out="out")),
     "verify-reduction": (_reduction_run, "6-dim vs 2-dim reduction",
                          dict(seed=0, draws=1_000_000, out="out")),

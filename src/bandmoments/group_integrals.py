@@ -48,9 +48,10 @@ TAYLOR_CUTOFF = 5e-2
 
 _U2_NODES = 96                 # Gauss-Legendre nodes in s of u2_quadrature
 # Draws per batch.  Each Monte Carlo loop holds one batch at a time, at most
-# 24 bytes a draw in mc_hciz_u2, 40 in mc_hciz_sp2 and 40 in reduction_check
-# (2.5 MiB at 2^16).  A batch fills each of its arrays in turn, so its size
-# is part of the draws: the U(2) and Sp(2) sizes fix verify-hciz's rows.
+# 24 bytes a draw in mc_hciz_u2, 40 in mc_hciz_sp2, and 40 in the reduction
+# at one setting and 56 at several (3.5 MiB at 2^16).  A batch fills each of
+# its arrays in turn, so its size is part of the draws: the U(2) and Sp(2)
+# sizes fix verify-hciz's rows.
 _U2_CHUNK = 200_000
 _SP2_CHUNK = 100_000
 _REDUCTION_CHUNK = 2**16
@@ -294,89 +295,93 @@ class ReductionReport:
     kept: int
 
 
-def _box_eigenvalues(gen, count: int, t: float, d1: float,
-                     d2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue pairs of count draws of F, less those outside the truncation region.
+def _standard_draws(gen, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, g, scratch): count rows of standard variates, less those outside the region.
 
     The eigenvalues mid +- sqrt((x - y)^2 / 4 + |w|^2) read x, y and |w|^2
     only, so each row takes three variates: x = d1 + z_x / sqrt(t),
-    y = d2 + z_y / sqrt(t) from two standard normals, and
-    g = t |w|^2 = (z_2^2 + z_3^2 + z_4^2 + z_5^2) / 2 ~ Gamma(2, 1) as the
+    y = d2 + z_y / sqrt(t) from the two standard normals of z = (z_x, z_y),
+    and g = t |w|^2 = (z_2^2 + z_3^2 + z_4^2 + z_5^2) / 2 ~ Gamma(2, 1) as the
     sum of two standard exponentials.  A row is kept when |z_x|, |z_y| <= _BOX
     and g <= 2 _BOX^2, a ball that contains the box |z_k| <= _BOX on the four
-    w coordinates.  The pairs are computed in place in the (2, count) normal
-    draw and returned as its two rows.
+    w coordinates.  The region is in standard units, so it is the same for
+    every setting (t, d1, d2).  scratch is a free buffer of one double a row.
     """
     z = gen.standard_normal((2, count))
-    g = gen.standard_exponential((2, count)).sum(axis=0)
+    g, scratch = gen.standard_exponential((2, count))
+    g += scratch                            # the sum of the two rows, in the first
     g_max = 2.0 * _BOX**2
     # almost every chunk lies inside the region: test the whole draw first
     if not (z.max() <= _BOX and z.min() >= -_BOX and g.max() <= g_max):
         keep = (np.abs(z) <= _BOX).all(axis=0) & (g <= g_max)
         z, g = z[:, keep], g[keep]
+        scratch = scratch[:len(g)]
+    return z, g, scratch
+
+
+def _eigenvalue_pairs(z: np.ndarray, g: np.ndarray, t: float, d1: float, d2: float,
+                      pairs: np.ndarray, half_gap: np.ndarray) -> None:
+    """Write the eigenvalue pairs of rows (z, g) of _standard_draws at (t, d1, d2) into pairs.
+
+    pairs may be z itself; otherwise z is left as it is.  g is left as it
+    is, and half_gap is overwritten.
+    """
     zx, zy = z
+    y1, y2 = pairs
     sd = 1.0 / math.sqrt(t)
-    half_gap = zx - zy                      # (x - y) / 2 = ((d1 - d2) + sd (z_x - z_y)) / 2
+    np.subtract(zx, zy, out=half_gap)       # (x - y) / 2 = ((d1 - d2) + sd (z_x - z_y)) / 2
     half_gap *= 0.5 * sd
     half_gap += 0.5 * (d1 - d2)
     np.square(half_gap, out=half_gap)
-    g /= t                                  # |w|^2
-    half_gap += g
+    np.add(zx, zy, out=y1)                  # mid = (d1 + d2) / 2 + sd (z_x + z_y) / 2
+    y1 *= 0.5 * sd
+    y1 += 0.5 * (d1 + d2)
+    half_gap += np.divide(g, t, out=y2)     # |w|^2
     np.sqrt(half_gap, out=half_gap)
-    zx += zy                                # mid = (d1 + d2) / 2 + sd (z_x + z_y) / 2
-    zx *= 0.5 * sd
-    zx += 0.5 * (d1 + d2)
-    np.subtract(zx, half_gap, out=zy)
-    zx += half_gap
-    return zx, zy
+    np.subtract(y1, half_gap, out=y2)
+    y1 += half_gap
 
 
-def reduction_check(t: float, d1: float, d2: float, phi, draws: int,
-                    rng) -> ReductionReport | tuple[ReductionReport, ...]:
-    """Compare the 6-dim Gaussian integral of Phi(F) with its 2-dim reduction.
+def _reduction_sums(settings, phis, draws: int, rng) -> tuple[np.ndarray, np.ndarray, int]:
+    """(sums, sums of squares, kept) of each observable over the kept draws of each setting.
 
-    LHS: Monte Carlo over (x, y, Re w1, Im w1, Re w2, Im w2) with density
-    prop. to exp(-(t/4) Tr(F - G)^2); Phi is evaluated on the two doubly
-    degenerate eigenvalues of the quaternion form F.  RHS: Gauss-Hermite
-    quadrature of the reduced 2-eigenvalue integrand.  The LHS takes `draws`
-    draws from `rng`, in batches of 2^16.  Each draw is three variates, two
-    standard normals for x and y and one Gamma(2, 1) for t |w|^2 (see
-    _box_eigenvalues); draws with |z_x| or |z_y| beyond 7 standard deviations
-    or t |w|^2 beyond 2 * 7^2 are dropped (Gaussian mass below 1e-10 outside)
-    and the rest are counted in the report's `kept`.
-
-    `phi(y1, y2)` must be a vectorized symmetric polynomial of total degree
-    at most 4 in the eigenvalues; the check returns its ReductionReport.
-    `phi` may also be a sequence of such observables: they share one set of
-    draws, each chunk evaluating them one after another, and the check
-    returns a tuple with one report per observable, each equal to the report
-    of a single-observable call on the same rng.
+    The sums are (len(settings), len(phis)) arrays.  Each chunk of at most
+    _REDUCTION_CHUNK rows is drawn and truncated once, and every setting's
+    eigenvalue pairs are computed in turn from it: the settings share their
+    draws, and each setting's sums equal those of a one-setting call on the
+    same rng.  The settings but the last reuse one pairs buffer; the last
+    writes its pairs over z, which no later setting reads.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if d1 == d2:
-        raise ValueError("the reduction formula requires d1 != d2")
+    for t, d1, d2 in settings:
+        if not t > 0:
+            raise ValueError(f"t must be positive, got {t}")
+        if d1 == d2:
+            raise ValueError("the reduction formula requires d1 != d2")
     _check_budget(draws)
-    phis = (phi,) if callable(phi) else tuple(phi)
-
     gen = as_generator(rng)
-    totals = [0.0] * len(phis)
-    totals_sq = [0.0] * len(phis)
+    totals = np.zeros((len(settings), len(phis)))
+    totals_sq = np.zeros_like(totals)
     kept = 0
-    done = 0
-    while done < draws:
-        b = min(_REDUCTION_CHUNK, draws - done)
-        y1, y2 = _box_eigenvalues(gen, b, t, d1, d2)
-        for k, f in enumerate(phis):
-            vals = f(y1, y2)
-            totals[k] += float(np.sum(vals))
-            totals_sq[k] += float(np.sum(vals**2))
-            del vals
-        kept += len(y1)
-        done += b
-        del y1, y2                          # free the batch before the next is drawn
-    mass = 2.0 * math.pi**3 / t**3
+    for done in range(0, draws, _REDUCTION_CHUNK):
+        z, g, scratch = _standard_draws(gen, min(_REDUCTION_CHUNK, draws - done))
+        shared = np.empty_like(z) if len(settings) > 1 else None
+        for si, (t, d1, d2) in enumerate(settings):
+            pairs = z if si == len(settings) - 1 else shared
+            _eigenvalue_pairs(z, g, t, d1, d2, pairs, scratch)
+            for k, f in enumerate(phis):
+                vals = f(*pairs)
+                totals[si, k] += float(np.sum(vals))
+                totals_sq[si, k] += float(np.sum(np.square(vals, out=scratch)))
+                del vals
+        kept += len(g)
+        del z, g, scratch, shared, pairs    # free the batch before the next is drawn
+    return totals, totals_sq, kept
 
+
+def _reduction_reports(t: float, d1: float, d2: float, phis, totals, totals_sq,
+                       kept: int) -> list[ReductionReport]:
+    """One ReductionReport per observable from its sums over kept draws at (t, d1, d2)."""
+    mass = 2.0 * math.pi**3 / t**3
     nodes, weights = np.polynomial.hermite.hermgauss(24)
     scale = math.sqrt(2.0 / t)
     q1 = d1 + scale * nodes[:, None]
@@ -395,4 +400,32 @@ def reduction_check(t: float, d1: float, d2: float, phi, draws: int,
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         stderr_ok = lhs_stderr <= 0.005 * abs(lhs) if lhs != 0 else True
         reports.append(ReductionReport(lhs, lhs_stderr, rhs, rel, stderr_ok, kept))
+    return reports
+
+
+def reduction_check(t: float, d1: float, d2: float, phi, draws: int,
+                    rng) -> ReductionReport | tuple[ReductionReport, ...]:
+    """Compare the 6-dim Gaussian integral of Phi(F) with its 2-dim reduction.
+
+    LHS: Monte Carlo over (x, y, Re w1, Im w1, Re w2, Im w2) with density
+    prop. to exp(-(t/4) Tr(F - G)^2); Phi is evaluated on the two doubly
+    degenerate eigenvalues of the quaternion form F.  RHS: Gauss-Hermite
+    quadrature of the reduced 2-eigenvalue integrand.  The LHS takes `draws`
+    draws from `rng`, in batches of 2^16.  Each draw is three variates, two
+    standard normals for x and y and one Gamma(2, 1) for t |w|^2 (see
+    _standard_draws); draws with |z_x| or |z_y| beyond 7 standard deviations
+    or t |w|^2 beyond 2 * 7^2 are dropped (Gaussian mass below 1e-10 outside)
+    and the rest are counted in the report's `kept`.
+
+    `phi(y1, y2)` must be a vectorized symmetric polynomial of total degree
+    at most 4 in the eigenvalues; the check returns its ReductionReport.
+    `phi` may also be a sequence of such observables: they share one set of
+    draws, each chunk evaluating them one after another, and the check
+    returns a tuple with one report per observable, each equal to the report
+    of a single-observable call on the same rng.
+    """
+    phis = (phi,) if callable(phi) else tuple(phi)
+    totals, totals_sq, kept = _reduction_sums(((t, d1, d2),), phis, draws, rng)
+    reports = _reduction_reports(t, d1, d2, phis, totals[0].tolist(), totals_sq[0].tolist(),
+                                 kept)
     return reports[0] if callable(phi) else tuple(reports)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -405,6 +404,8 @@ def _run_scan(config: ScanConfig,
     tasks = [(spec, streams[a:b]) for a, b in zip(bounds, bounds[1:])]
     if workers == 1:
         return _scan_block(tasks[0])
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return [part for block in ex.map(_scan_block, tasks) for part in block]
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky_banded, solve_banded
 
+from bandmoments import chain
 from bandmoments.chain import (ChainParams, chain_asymptotic,
                                chain_log_asymptotic, chain_log_partition,
                                chain_logdet, chain_operator, chain_partition,
@@ -170,3 +171,17 @@ class TestTailProbability:
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             tail_probability(8, 2.0, 1.0, 0.0, 10, RngStream(0))
+
+    def test_thresholds_share_chains(self, monkeypatch):
+        # chunks of 3000 leave a short last chunk
+        monkeypatch.setattr(chain, "_TAIL_CHUNK", 3000)
+        deltas = (0.5, 0.7, 0.9)
+        freqs = tail_probability(24, 6.0, 1.0, np.array(deltas), 7000, RngStream(55))
+        assert freqs == tuple(tail_probability(24, 6.0, 1.0, d, 7000, RngStream(55))
+                              for d in deltas)
+        assert freqs[0] > freqs[1] > freqs[2] > 0.0
+
+    @pytest.mark.parametrize("deltas", [(), (0.5, 0.0), [0.5, -1.0]])
+    def test_rejects_empty_or_nonpositive_threshold_sequence(self, deltas):
+        with pytest.raises(ValueError, match="delta"):
+            tail_probability(8, 2.0, 1.0, deltas, 10, RngStream(0))

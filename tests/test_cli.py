@@ -19,8 +19,8 @@ from scipy.special import erfc, gammainc
 from bandmoments import cli, group_integrals, moments
 from bandmoments.cli import CheckRow, load_config_file, main
 from bandmoments.ensemble import RngStream
-from bandmoments.group_integrals import (hciz_sp2, hciz_u2, mc_hciz_sp2, mc_hciz_u2,
-                                         reduction_check)
+from bandmoments.group_integrals import (_reduction_reports, _reduction_sums, hciz_sp2,
+                                         hciz_u2, mc_hciz_sp2, mc_hciz_u2)
 from bandmoments.lattice import LatticeParams
 from bandmoments.transfer import cross_validate
 
@@ -281,9 +281,13 @@ class TestVerifyCommands:
         monkeypatch.setattr(group_integrals, "_BOX", 1.5)
         out = tmp_path / "rt"
         main(["verify-reduction", "--draws", "20000", "--out", str(out)])
-        truncation = json.loads(_read(out / "manifest.json"))["summary"]["truncation"]
+        summary = json.loads(_read(out / "manifest.json"))["summary"]
+        assert summary["substreams"] == cli._REDUCTION_STREAMS
+        truncation = summary["truncation"]
         assert [row["setting"] for row in truncation] == ["t0", "t1", "t2"]
         kept_share = (1.0 - erfc(1.5 / math.sqrt(2.0))) ** 2 * gammainc(2.0, 2.0 * 1.5**2)
+        # the settings share their draws and the region is in standard units
+        assert len({row["kept"] for row in truncation}) == 1
         for row in truncation:
             assert row["kept"] + row["dropped"] == 20000
             assert abs(row["kept"] / 20000 - kept_share) < 0.02
@@ -324,15 +328,42 @@ class TestVerifyCommands:
             assert rows[f"hciz_sp2_mc_stderr_{k:02d}"].measured == se / abs(hciz_sp2(p))
             mean, se = mc_hciz_u2(p, draws, RngStream(seed, 200 + k))
             assert rows[f"hciz_u2_mc_{k:02d}"].measured == abs(mean - hciz_u2(p)) / se
+        # the reduction's substreams, run one after another and their sums added
+        names, phis = zip(*cli._REDUCTION_PHIS)
+        settings = cli._REDUCTION_SETTINGS
+        totals = np.zeros((len(settings), len(phis)))
+        totals_sq = np.zeros_like(totals)
+        kept = 0
+        # one more draw than the others: the first substream takes the remainder
+        counts = [1251, 1250, 1250, 1250]
+        assert cli._REDUCTION_STREAMS == len(counts) and sum(counts) == draws + 1
+        for k, count in enumerate(counts):
+            part = _reduction_sums(settings, phis, count, RngStream(seed, k))
+            totals += part[0]
+            totals_sq += part[1]
+            kept += part[2]
         expected = []
-        for si, (t, d1, d2) in enumerate(cli._REDUCTION_SETTINGS):
-            for name, phi in cli._REDUCTION_PHIS:
-                rep = reduction_check(t, d1, d2, phi, draws=draws, rng=RngStream(seed, si))
+        for si, (t, d1, d2) in enumerate(settings):
+            reports = _reduction_reports(t, d1, d2, phis, totals[si].tolist(),
+                                         totals_sq[si].tolist(), kept)
+            for name, rep in zip(names, reports):
                 expected += [CheckRow(f"reduction_t{si}_{name}", rep.relative_difference,
                                       0.0, 0.01),
                              CheckRow(f"reduction_t{si}_{name}_stderr_ok",
                                       float(rep.stderr_ok), 1.0, 0.5)]
-        assert cli.reduction_suite(seed, draws) == expected
+        assert cli.reduction_suite(seed, draws + 1) == expected
+
+    @pytest.mark.parametrize("argv", [["verify-chain", "--tail-draws", "3000"],
+                                      ["verify-reduction", "--draws", "30000"]],
+                             ids=["verify-chain", "verify-reduction"])
+    def test_verify_csv_does_not_depend_on_the_thread_count(self, tmp_path, monkeypatch, argv):
+        written = []
+        for threads in (1, 2):
+            monkeypatch.setattr(cli, "_pool_size", lambda count, threads=threads: threads)
+            out = tmp_path / f"threads{threads}"
+            main(argv + ["--seed", "4", "--out", str(out)])
+            written.append(_read(out / "verify.csv"))
+        assert written[0] == written[1]
 
     @staticmethod
     def _pool_threads():
@@ -426,7 +457,8 @@ class TestManifest:
         # at so few draws some rows fail; the manifest is written all the same
         cpus = len(os.sched_getaffinity(0))
         for argv, points in ((["verify-hciz", "--sets", "2", "--draws", "2000"], 4),
-                             (["verify-reduction", "--draws", "2000"], 3)):
+                             (["verify-chain", "--tail-draws", "200"], 3),
+                             (["verify-reduction", "--draws", "2000"], 4)):
             out = tmp_path / argv[0]
             main(argv + ["--out", str(out)])
             environment = json.loads(_read(out / "manifest.json"))["environment"]

@@ -16,7 +16,8 @@ from bandmoments import chain, group_integrals
 from bandmoments.chain import sample_chain, tail_probability
 from bandmoments.ensemble import RngStream
 from bandmoments.group_integrals import (TAYLOR_CUTOFF, HcizParams, _coset_u2_params,
-                                         _coset_u2_s, _sp2_generic, _sp2_params,
+                                         _coset_u2_s, _eigenvalue_pairs, _reduction_reports,
+                                         _reduction_sums, _sp2_generic, _sp2_params,
                                          _sp2_s, _sp2_series,
                                          _sp2_weight_inverse_cdf, hciz_sp2,
                                          hciz_u2, mc_hciz_sp2, mc_hciz_u2,
@@ -349,6 +350,28 @@ class TestReductionCheck:
             assert rep == reduction_check(0.8, 2.0, 0.6, phi, draws=300_000,
                                           rng=RngStream(43))
 
+    @pytest.mark.parametrize("box", [7.0, 1.5], ids=["default-box", "small-box"])
+    def test_settings_share_draws(self, monkeypatch, box):
+        # each setting's sums give the reports of a one-setting check on the
+        # same stream, also when the region drops rows and the last chunk is short
+        settings = ((1.0, 1.5, 0.5), (2.0, 1.0, -0.3), (0.8, 2.0, 0.6))
+        phis = (lambda y1, y2: np.ones_like(y1), lambda y1, y2: y1 + y2,
+                lambda y1, y2: (y1 - y2) ** 2)
+        monkeypatch.setattr(group_integrals, "_REDUCTION_CHUNK", 70_000)
+        monkeypatch.setattr(group_integrals, "_BOX", box)
+        totals, totals_sq, kept = _reduction_sums(settings, phis, 150_000, RngStream(44))
+        assert totals.shape == totals_sq.shape == (len(settings), len(phis))
+        for si, (t, d1, d2) in enumerate(settings):
+            reports = _reduction_reports(t, d1, d2, phis, totals[si].tolist(),
+                                         totals_sq[si].tolist(), kept)
+            assert tuple(reports) == reduction_check(t, d1, d2, phis, draws=150_000,
+                                                     rng=RngStream(44))
+
+    def test_any_setting_is_checked(self):
+        with pytest.raises(ValueError, match="d1 != d2"):
+            _reduction_sums(((1.0, 1.5, 0.5), (1.0, 0.5, 0.5)), (lambda y1, y2: y1,), 10,
+                            RngStream(0))
+
     def test_rows_outside_the_box_are_dropped(self):
         class Planted:
             def standard_normal(self, shape):
@@ -376,7 +399,9 @@ class TestReductionCheck:
         x, y = d1 + z[:, 0] / math.sqrt(t), d2 + z[:, 1] / math.sqrt(t)
         half_gap = np.sqrt(0.25 * (x - y) ** 2 + np.sum(z[:, 2:] ** 2, axis=1) / (2.0 * t))
         six = (0.5 * (x + y) + half_gap, 0.5 * (x + y) - half_gap)
-        y1, y2 = group_integrals._box_eigenvalues(np.random.default_rng(8), count, t, d1, d2)
+        z, g, scratch = group_integrals._standard_draws(np.random.default_rng(8), count)
+        y1, y2 = pairs = np.empty_like(z)
+        _eigenvalue_pairs(z, g, t, d1, d2, pairs, scratch)
         assert ks_2samp(y1, six[0]).pvalue > 1e-3
         assert ks_2samp(y1 - y2, six[0] - six[1]).pvalue > 1e-3
 
@@ -423,8 +448,10 @@ def _traced_peak(run) -> int:
 
 # (run, module, chunk constant, bytes a draw holds while its batch is in hand):
 # 8 of s and 16 of complex values in mc_hciz_u2; 16 of (s_U, s_V), 8 and 16
-# in mc_hciz_sp2; 40 of normal and exponential variates in reduction_check;
-# one row of the chain in tail_probability
+# in mc_hciz_sp2; 32 of normal and exponential variates and 8 of an
+# observable's values in reduction_check, and 16 more at several settings for
+# the eigenvalue pairs they reuse; one row of the chain in tail_probability,
+# for one threshold or several
 @pytest.mark.parametrize("run,module,chunk,per_draw", [
     (lambda draws: mc_hciz_u2(COMPLEX_ANCHOR, draws, RngStream(0)),
      group_integrals, "_U2_CHUNK", 24),
@@ -434,9 +461,17 @@ def _traced_peak(run) -> int:
                                                     lambda y1, y2: (y1 - y2) ** 2),
                                    draws, RngStream(0)),
      group_integrals, "_REDUCTION_CHUNK", 40),
+    (lambda draws: _reduction_sums(((1.0, 1.5, 0.5), (2.0, 1.0, -0.3), (0.8, 2.0, 0.6)),
+                                   (lambda y1, y2: y1 + y2, lambda y1, y2: (y1 - y2) ** 2),
+                                   draws, RngStream(0)),
+     group_integrals, "_REDUCTION_CHUNK", 56),
     (lambda draws: tail_probability(TAIL_SITES, 9.0, 1.0, 0.5, draws, RngStream(0)),
      chain, "_TAIL_CHUNK", 8 * TAIL_SITES),
-], ids=["mc_hciz_u2", "mc_hciz_sp2", "reduction_check", "tail_probability"])
+    (lambda draws: tail_probability(TAIL_SITES, 9.0, 1.0, (0.5, 0.7, 0.9), draws,
+                                    RngStream(0)),
+     chain, "_TAIL_CHUNK", 8 * TAIL_SITES),
+], ids=["mc_hciz_u2", "mc_hciz_sp2", "reduction_check", "reduction_settings",
+        "tail_probability", "tail_probability_deltas"])
 def test_monte_carlo_holds_one_batch(run, module, chunk, per_draw):
     # a loop that kept its last batch while drawing the next would hold two
     size = getattr(module, chunk)

@@ -1,9 +1,11 @@
-"""Start-up cost: importing the CLI and running a GOE scan load no heavy scipy submodule.
+"""Start-up cost: importing the CLI and running a GOE scan load no heavy module.
 
 `import scipy.linalg` alone took about 0.25 s and 20 MiB of a fresh
 interpreter's start-up, so a module under src/ imports a scipy submodule only
-inside the function that needs it.  numpy.random is imported eagerly, so its
-lazy load does not land in the first timed call.
+inside the function that needs it.  The process pool, which loads
+multiprocessing, and the thread pool are imported where a pool starts.
+numpy.random is imported eagerly, so its lazy load does not land in the
+first timed call.
 """
 
 import json
@@ -14,7 +16,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-HEAVY = ("scipy.linalg", "scipy.special", "scipy.sparse", "scipy._lib._array_api")
+HEAVY = ("scipy.linalg", "scipy.special", "scipy.sparse", "scipy._lib._array_api",
+         "concurrent.futures.process", "concurrent.futures.thread", "multiprocessing")
 
 PROBE = f"""
 import json, sys
