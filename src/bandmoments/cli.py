@@ -32,8 +32,8 @@ from .group_integrals import (TAYLOR_CUTOFF, HcizParams, _reduction_reports, _re
                               hciz_sp2, hciz_u2, mc_hciz_sp2, mc_hciz_u2, u2_quadrature)
 from .kernels import semicircle_cdf
 from .lattice import LatticeParams, variance_profile
-from .moments import (_SCAN_BLAS_THREADS, ScanConfig, _openblas_threads,
-                      estimate_ratio, scaled_energies)
+from .moments import (_OPENBLAS, ScanConfig, _threaded_blas, estimate_ratio,
+                      scaled_energies)
 from .spectral import eigenvalues, ncm, semicircle_distance
 from .transfer import _cross_validations
 
@@ -155,15 +155,19 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+# BLAS threads of moments._threaded_blas blocks: spectrum's eigensolves and
+# the transfer contractions of transfer-check
+_BLOCK_BLAS_THREADS = None if _OPENBLAS is None else _OPENBLAS.default
+
+
 def _write_manifest(outdir: Path, command: str, cfg: dict, summary: dict,
                     **environment) -> None:
-    threads = _openblas_threads()
     manifest = {
         "command": command,
         "version": __version__,
         "git": _git_describe(),
         "environment": {"numpy": np.__version__, "scipy": scipy.__version__,
-                        "openblas_threads": None if threads is None else threads[0](),
+                        "openblas_threads": None if _OPENBLAS is None else _OPENBLAS.get(),
                         **environment},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "seed": cfg.get("seed"),
@@ -209,8 +213,10 @@ def cmd_spectrum(cfg: dict) -> int:
     else:
         profile = variance_profile(LatticeParams(cfg["half_width"], cfg["bandwidth"]))
     outdir = _outdir(cfg)
-    eigs = np.concatenate([eigenvalues(sample_symmetric(profile, 1, RngStream(cfg["seed"], k))[0])
-                           for k in range(cfg["samples"])])
+    with _threaded_blas():
+        eigs = np.concatenate([eigenvalues(sample_symmetric(profile, 1,
+                                                            RngStream(cfg["seed"], k))[0])
+                               for k in range(cfg["samples"])])
     edges = np.linspace(-2.5, 2.5, cfg["bins"] + 1)
     hist = ncm(eigs, edges)
     ks = semicircle_distance(hist)
@@ -218,7 +224,8 @@ def cmd_spectrum(cfg: dict) -> int:
     _write_csv(outdir / "spectrum.csv", _SPECTRUM_SCHEMA,
                [(edges[i], edges[i + 1], hist.masses[i], sc_mass[i])
                 for i in range(len(hist.masses))])
-    _write_manifest(outdir, "spectrum", cfg, {"ks_distance": ks})
+    _write_manifest(outdir, "spectrum", cfg, {"ks_distance": ks},
+                    blas_block_threads=_BLOCK_BLAS_THREADS)
     print(f"ks_distance = {ks:.6f}")
     return 0
 
@@ -260,13 +267,9 @@ def cmd_scan_f2(cfg: dict) -> int:
     # diagonal rows are exactly 1 = DS(0) by construction and say nothing
     devs = [abs(r.ratio - r.ds_ref) for r in rows if r.flag == "ok" and r.xi1 != r.xi2]
     dev = max(devs, default=None)
-    environment = {"sample_source": config.sample_source}
-    if config.sample_source == "dense":
-        environment["scan_blas_threads"] = (None if _openblas_threads() is None
-                                            else _SCAN_BLAS_THREADS)
     _write_manifest(outdir, "scan-f2", cfg,
                     {"max_abs_deviation": dev, "ok_off_diagonal_rows": len(devs)},
-                    **environment)
+                    sample_source=config.sample_source)
     shown = "n/a" if dev is None else f"{dev:.6f}"
     print(f"max |ratio - DS| = {shown} over {len(devs)} ok off-diagonal rows")
     return 0
@@ -318,7 +321,12 @@ def _run_points(points: list) -> list:
     faster than one thread running them in turn.  Two band scan blocks
     (OPENBLAS_NUM_THREADS=1, 2 vCPUs) took 0.85-1.24 s one after the other
     against 0.98-1.09 s on two threads at N=9, 2e5 samples, and 2.14-2.22 s
-    against 2.22-2.46 s at N=33, 4e4 samples.
+    against 2.22-2.46 s at N=33, 4e4 samples.  numpy's batched slogdet keeps
+    the GIL for batches of 500 matrices or fewer (a spinning Python thread
+    ran half as fast beside 499-matrix calls as beside 501-matrix ones), and
+    a chunk at N=9 with two energies is 404 matrices per call.  Even with the
+    GIL released, two threads gained little: ten 4000-matrix calls each at
+    n=9 took 0.060-0.082 s on two threads against 0.067-0.084 s in turn.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -510,6 +518,12 @@ def transfer_suite(seed: int, samples: int, workers: int) -> list[CheckRow]:
     return rows
 
 
+def _transfer_run(seed: int, samples: int, workers: int) -> tuple[list[CheckRow], dict, dict]:
+    """transfer_suite's rows, no summary, and the BLAS threads of its contractions."""
+    return (transfer_suite(seed, samples, workers), {},
+            {"blas_block_threads": _BLOCK_BLAS_THREADS})
+
+
 def _run_suite(command: str, cfg: dict) -> int:
     """Call the command's suite with its config keys, except out, as arguments."""
     suite = _SUITES[command][0]
@@ -536,11 +550,6 @@ def cmd_report(cfg: dict) -> int:
 # commands and argument parsing
 # ----------------------------------------------------------------------
 
-def _rows_only(suite):
-    """A suite runner whose manifest records nothing beyond the checks."""
-    return lambda **kwargs: (suite(**kwargs), {}, {})
-
-
 # name -> (function, help, defaults); the defaults declare each command's
 # config keys, their types and the flags the parser offers.  A suite's
 # function returns its check rows and two dicts for the manifest: extra
@@ -552,7 +561,7 @@ _SUITES = {
                      dict(seed=0, tail_draws=40_000, out="out")),
     "verify-reduction": (_reduction_run, "6-dim vs 2-dim reduction",
                          dict(seed=0, draws=1_000_000, out="out")),
-    "transfer-check": (_rows_only(transfer_suite), "transfer vs Monte Carlo",
+    "transfer-check": (_transfer_run, "transfer vs Monte Carlo",
                        dict(seed=0, samples=400_000, workers=1, out="out")),
 }
 

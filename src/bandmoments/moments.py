@@ -32,7 +32,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -259,8 +259,6 @@ class _WorkerSpec:
     master_seed: int
 
 
-_SCAN_BLAS_THREADS = 1       # OpenBLAS threads of a scan's eigensolves and LUs
-
 # Most energies at which a dense batch is factored by LU once per energy
 # rather than eigensolved once: on one BLAS thread an eigvalsh costs 3.0-5.8
 # LU factorisations (dgetrf) at N = 3..255, so LU wins at one or two
@@ -268,40 +266,74 @@ _SCAN_BLAS_THREADS = 1       # OpenBLAS threads of a scan's eigensolves and LUs
 _LU_MAX_ENERGIES = 2
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+class _OpenBlas(NamedTuple):
+    get: Callable[[], int]      # thread count
+    put: Callable[[int], None]  # set the thread count
+    stop: Callable[[], int] | None  # join the worker threads (blas_thread_shutdown_)
+    default: int                # the count at load: OPENBLAS_NUM_THREADS, else one per core
+
+
+def _load_openblas() -> _OpenBlas | None:
+    """numpy's bundled OpenBLAS thread controls, or None without one.
+
+    libscipy_openblas64_ exports blas_thread_shutdown_ without a prefix;
+    where it is missing, stop is None.
+    """
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
         for suffix in ("64_", ""):
             get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
             put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
             if get is not None and put is not None:
-                return get, put
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                stop = getattr(lib, "blas_thread_shutdown_", None)
+                if stop is not None:
+                    stop.restype, stop.argtypes = ctypes.c_int, []
+                return _OpenBlas(get, put, stop, get())
     return None
 
 
-@contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore its count.
+def _idle_one_thread(blas: _OpenBlas) -> None:
+    """One BLAS thread and no worker thread.
 
-    Left alone, each pool worker starts one BLAS thread per core and the
-    workers oversubscribe the machine (at GOE N=256 on 2 cores, 2 workers ran
-    6x slower than 1). One thread in every path also keeps the eigenvalues,
-    and so a scan, bit-identical for every worker count.  Without a bundled
-    OpenBLAS the block runs as is.
+    Loaded, the library starts a worker per extra core, and a worker
+    busy-polls for about 0.12 s of CPU after the load and after every
+    threaded call; a count of 1 alone does not stop it.  The count drops
+    first: a set call made after the stop starts a worker again.
     """
-    threads = _openblas_threads()
-    if threads is None:
+    blas.put(1)
+    if blas.stop is not None:
+        blas.stop()
+
+
+# Pinned at import: scans, LU factorisations and the verify suites run on one
+# BLAS thread, which keeps a scan bit-identical for every worker count and
+# keeps pool workers from oversubscribing the cores.
+_OPENBLAS = _load_openblas()
+if _OPENBLAS is not None:
+    _idle_one_thread(_OPENBLAS)
+
+
+@contextmanager
+def _threaded_blas():
+    """Run the block with numpy's OpenBLAS on its default thread count.
+
+    For large BLAS calls: the transfer route's contractions and `spectrum`'s
+    eigensolves.  When the block ends, also on an exception, the count
+    returns to 1 and the workers stop.  The thread count is process-wide
+    state, so one thread at a time may use this: `transfer-check` and
+    `spectrum` run it serially, and no cli._run_points point calls it.
+    Without a bundled OpenBLAS the block runs as is.
+    """
+    if _OPENBLAS is None:
         yield
         return
-    get, put = threads
-    before = get()
-    put(_SCAN_BLAS_THREADS)
+    _OPENBLAS.put(_OPENBLAS.default)
     try:
         yield
     finally:
-        put(before)
+        _idle_one_thread(_OPENBLAS)
 
 
 def _dense_draw(profile: np.ndarray, size: int,
@@ -369,11 +401,10 @@ def _scan_block(args: tuple[_WorkerSpec, list[tuple[int, int]]]
     logs = np.empty((sum(counts), len(spec.lambdas)))
     signs = np.empty(logs.shape, dtype=np.int8)
     done = 0
-    with _one_blas_thread():
-        for draws in _pooled(_stream_draws(spec, streams), spec.chunk):
-            size = len(draws[0])
-            logs[done:done + size], signs[done:done + size] = spec.evaluate(*draws, spec.lambdas)
-            done += size
+    for draws in _pooled(_stream_draws(spec, streams), spec.chunk):
+        size = len(draws[0])
+        logs[done:done + size], signs[done:done + size] = spec.evaluate(*draws, spec.lambdas)
+        done += size
     cuts = np.cumsum(counts)[:-1]
     return list(zip(np.split(logs, cuts), np.split(signs, cuts)))
 

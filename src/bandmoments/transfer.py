@@ -51,7 +51,7 @@ from .kernels import log_phase_factor, rho, saddle_data
 from .lattice import (LatticeParams, TridiagonalOperator, neumann_laplacian,
                       tridiagonal_logdet)
 from .moments import (MomentEstimate, ScanConfig, _f2_from_scan, _run_scan,
-                      scaled_energies)
+                      _threaded_blas, scaled_energies)
 
 __all__ = ["Grid2D", "TransferKernel", "TransferResult", "build_kernel",
            "transfer_evaluate", "CrossValidation", "cross_validate"]
@@ -200,13 +200,14 @@ def transfer_evaluate(kernel: TransferKernel) -> TransferResult:
     The returned value is the second; the error estimate is its distance
     from the first (truncation) plus its distance from the third (spacing).
     F2 is real, so the residual imaginary part doubles as a consistency
-    diagnostic.
+    diagnostic.  The contractions' matrix products run on BLAS threads.
     """
     params, lambda0, xi, refine = kernel.params, kernel.lambda0, kernel.xi, kernel.refine
-    base = _contract(kernel)
-    wide_kernel = _kernel(params, lambda0, xi, refine, 1.0)
-    wide = _contract(wide_kernel)
-    coarse = _contract(_kernel(params, lambda0, xi, 0.75 * refine, 1.0))
+    with _threaded_blas():
+        base = _contract(kernel)
+        wide_kernel = _kernel(params, lambda0, xi, refine, 1.0)
+        wide = _contract(wide_kernel)
+        coarse = _contract(_kernel(params, lambda0, xi, 0.75 * refine, 1.0))
     err = abs(wide - base) + abs(wide - coarse)
     imag_ratio = abs(wide.imag) / max(abs(wide), 1e-300)
     return TransferResult(

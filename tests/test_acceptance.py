@@ -18,7 +18,7 @@ from bandmoments.cli import (chain_suite, hciz_suite, main, reduction_suite)
 from bandmoments.ensemble import RngStream, sample_goe, sample_symmetric
 from bandmoments.kernels import saddle_data, saddle_f
 from bandmoments.lattice import LatticeParams, variance_profile
-from bandmoments.moments import ScanConfig, estimate_ratio
+from bandmoments.moments import ScanConfig, _threaded_blas, estimate_ratio
 from bandmoments.spectral import ncm, semicircle_distance
 from bandmoments.transfer import cross_validate
 
@@ -179,7 +179,8 @@ def _aggregate_ks(kind: str, size: int, count: int, seed: int) -> float:
         draws = [sample_symmetric(profile, 1, RngStream(seed, k))[0] for k in range(count)]
     else:
         draws = [sample_goe(size, RngStream(seed, k)) for k in range(count)]
-    eigs = np.sort(np.concatenate([np.linalg.eigvalsh(d) for d in draws]))
+    with _threaded_blas():  # on BLAS threads, as `spectrum` runs its eigensolves
+        eigs = np.sort(np.concatenate([np.linalg.eigvalsh(d) for d in draws]))
     return semicircle_distance(ncm(eigs, np.linspace(-2.5, 2.5, 201)))
 
 

@@ -432,26 +432,26 @@ class TestManifest:
         assert cli._git_describe() != "unknown"
 
     def test_records_libraries_and_blas_threads(self, tmp_path):
-        threads = moments._openblas_threads()
+        # scans and suites run on the one BLAS thread pinned at import; spectrum's
+        # eigensolves and transfer-check's contractions on the library default
+        blas = moments._OPENBLAS
         expected = {"numpy": np.__version__, "scipy": scipy.__version__,
-                    "openblas_threads": None if threads is None else threads[0]()}
+                    "openblas_threads": None if blas is None else 1}
+        block = None if blas is None else blas.default
         assert main(["spectrum", "--size", "8", "--samples", "2", "--bins", "5",
                      "--out", str(tmp_path / "s")]) == 0
         manifest = json.loads(_read(tmp_path / "s" / "manifest.json"))
-        assert manifest["environment"] == expected
-        # the dense band source factors on one pinned BLAS thread; the
-        # GOE's tridiagonal source runs no BLAS call
-        assert main(["scan-f2", "--ensemble", "band", "--half-width", "3", "--bandwidth", "2",
-                     "--samples", "40", "--xi-diffs", "0,1", "--out", str(tmp_path / "b")]) == 0
-        manifest = json.loads(_read(tmp_path / "b" / "manifest.json"))
-        assert manifest["environment"] == {
-            **expected, "sample_source": "dense",
-            "scan_blas_threads": None if threads is None else 1}
-        assert main(["scan-f2", "--size", "8", "--samples", "40", "--xi-diffs", "0,1",
-                     "--out", str(tmp_path / "f")]) == 0
-        manifest = json.loads(_read(tmp_path / "f" / "manifest.json"))
-        assert manifest["environment"] == {**expected, "sample_source": "dumitriu-edelman"}
-
+        assert manifest["environment"] == {**expected, "blas_block_threads": block}
+        for ensemble, source in (("band", "dense"), ("goe", "dumitriu-edelman")):
+            assert main(["scan-f2", "--ensemble", ensemble, "--size", "8", "--half-width", "3",
+                         "--bandwidth", "2", "--samples", "40", "--xi-diffs", "0,1",
+                         "--out", str(tmp_path / ensemble)]) == 0
+            manifest = json.loads(_read(tmp_path / ensemble / "manifest.json"))
+            assert manifest["environment"] == {**expected, "sample_source": source}
+        # at so few samples some rows may fail; the manifest is written all the same
+        main(["transfer-check", "--samples", "200", "--out", str(tmp_path / "t")])
+        manifest = json.loads(_read(tmp_path / "t" / "manifest.json"))
+        assert manifest["environment"] == {**expected, "blas_block_threads": block}
 
     def test_pooled_suites_record_their_threads(self, tmp_path):
         # at so few draws some rows fail; the manifest is written all the same

@@ -1,6 +1,7 @@
 """Moment estimation: accumulators, closed-form anchors, ratio scans."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,16 +475,28 @@ class TestEstimateRatio:
         assert ScanConfig(goe_size=4, **common).sample_source == "dumitriu-edelman"
         assert ScanConfig(lattice=LatticeParams(1, 1.0), **common).sample_source == "dense"
 
-    def test_scan_blas_runs_on_one_thread(self):
-        threads = moments._openblas_threads()
-        if threads is None:  # no bundled OpenBLAS: the context does nothing
-            with moments._one_blas_thread():
+    def test_threaded_blas_block_then_one_idle_thread(self):
+        blas = moments._OPENBLAS
+        if blas is None:  # no bundled OpenBLAS: the block runs as is
+            with moments._threaded_blas():
                 return
-        get, _ = threads
-        before = get()
-        with moments._one_blas_thread():
-            assert get() == 1
-        assert get() == before
+
+        def os_threads():  # None where /proc is absent
+            tasks = Path("/proc/self/task")
+            return len(list(tasks.iterdir())) if tasks.is_dir() else None
+
+        before = os_threads()
+        assert blas.get() == 1
+        a = np.ones((300, 300))
+        with moments._threaded_blas():
+            assert blas.get() == blas.default
+            a @ a
+        assert (blas.get(), os_threads()) == (1, before)
+        with pytest.raises(RuntimeError, match="inside"):
+            with moments._threaded_blas():
+                a @ a
+                raise RuntimeError("inside")
+        assert (blas.get(), os_threads()) == (1, before)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
