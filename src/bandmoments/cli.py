@@ -18,7 +18,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +27,14 @@ import scipy
 from . import __version__
 from .chain import (ChainParams, chain_log_asymptotic, chain_log_partition,
                     chain_logdet, chain_operator, tail_probability)
-from .ensemble import RngStream, goe_profile, sample_symmetric
+from .ensemble import RngStream, sample_goe_tridiagonal, sample_symmetric
 from .group_integrals import (TAYLOR_CUTOFF, HcizParams, _reduction_reports, _reduction_sums,
                               hciz_sp2, hciz_u2, mc_hciz_sp2, mc_hciz_u2, u2_quadrature)
 from .kernels import semicircle_cdf
 from .lattice import LatticeParams, variance_profile
 from .moments import (_OPENBLAS, ScanConfig, _threaded_blas, estimate_ratio,
                       scaled_energies)
-from .spectral import eigenvalues, ncm, semicircle_distance
+from .spectral import eigenvalues, ncm, semicircle_distance, tridiagonal_eigenvalues
 from .transfer import _cross_validations
 
 __all__ = ["main", "CheckRow"]
@@ -155,11 +155,6 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-# BLAS threads of moments._threaded_blas blocks: spectrum's eigensolves and
-# the transfer contractions of transfer-check
-_BLOCK_BLAS_THREADS = None if _OPENBLAS is None else _OPENBLAS.default
-
-
 def _write_manifest(outdir: Path, command: str, cfg: dict, summary: dict,
                     **environment) -> None:
     manifest = {
@@ -208,15 +203,20 @@ _SPECTRUM_DEFAULTS = dict(ensemble="goe", size=256, half_width=0, bandwidth=8.0,
 
 
 def cmd_spectrum(cfg: dict) -> int:
+    streams = [RngStream(cfg["seed"], k) for k in range(cfg["samples"])]
     if cfg["ensemble"] == "goe":
-        profile = goe_profile(cfg["size"])
+        # Dumitriu-Edelman draws: the GOE eigenvalue law from O(N) entries each
+        draws = (sample_goe_tridiagonal(cfg["size"], 1, stream) for stream in streams)
+        eigs = np.concatenate([tridiagonal_eigenvalues(diag[0], offdiag_sq[0])
+                               for diag, offdiag_sq in draws])
+        environment = {}
     else:
         profile = variance_profile(LatticeParams(cfg["half_width"], cfg["bandwidth"]))
+        with _threaded_blas():
+            eigs = np.concatenate([eigenvalues(sample_symmetric(profile, 1, stream)[0])
+                                   for stream in streams])
+        environment = {"blas_block_threads": None if _OPENBLAS is None else _OPENBLAS.default}
     outdir = _outdir(cfg)
-    with _threaded_blas():
-        eigs = np.concatenate([eigenvalues(sample_symmetric(profile, 1,
-                                                            RngStream(cfg["seed"], k))[0])
-                               for k in range(cfg["samples"])])
     edges = np.linspace(-2.5, 2.5, cfg["bins"] + 1)
     hist = ncm(eigs, edges)
     ks = semicircle_distance(hist)
@@ -224,8 +224,7 @@ def cmd_spectrum(cfg: dict) -> int:
     _write_csv(outdir / "spectrum.csv", _SPECTRUM_SCHEMA,
                [(edges[i], edges[i + 1], hist.masses[i], sc_mass[i])
                 for i in range(len(hist.masses))])
-    _write_manifest(outdir, "spectrum", cfg, {"ks_distance": ks},
-                    blas_block_threads=_BLOCK_BLAS_THREADS)
+    _write_manifest(outdir, "spectrum", cfg, {"ks_distance": ks}, **environment)
     print(f"ks_distance = {ks:.6f}")
     return 0
 
@@ -279,25 +278,6 @@ def cmd_scan_f2(cfg: dict) -> int:
 # verify suites
 # ----------------------------------------------------------------------
 
-_M_ARENA_MAX = -8              # mallopt parameter of glibc's malloc.h
-
-
-@cache
-def _one_malloc_arena() -> None:
-    """Have glibc's malloc serve every thread from one arena; skipped without mallopt.
-
-    A worker thread otherwise gets an arena of its own, which keeps the
-    thread's last batch of draws resident after the pool exits.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_ARENA_MAX, 1)
-
-
 def _pool_size(count: int) -> int:
     """Threads for count independent points: one per CPU this process may run on."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -330,7 +310,6 @@ def _run_points(points: list) -> list:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    _one_malloc_arena()
     with ThreadPoolExecutor(_pool_size(len(points))) as pool:
         return list(pool.map(lambda point: point(), points))
 
@@ -345,8 +324,12 @@ def _hciz_parameter_sets(seed: int, count: int) -> list[HcizParams]:
     return sets
 
 
-def _hciz_run(seed: int, sets: int, draws: int) -> tuple[list[CheckRow], dict, dict]:
-    """hciz_suite's rows, no summary, and the threads of its Monte Carlo points."""
+def hciz_suite(seed: int, sets: int, draws: int) -> tuple[list[CheckRow], dict, dict]:
+    """Closed forms vs quadrature and vs Monte Carlo over both cosets.
+
+    Returns the rows, no summary, and the threads of the 2 * sets Monte Carlo
+    points, which run on threads (see _run_points).
+    """
     rows = []
     params = _hciz_parameter_sets(seed, sets)
     for k, p in enumerate(params):
@@ -388,20 +371,16 @@ def _hciz_run(seed: int, sets: int, draws: int) -> tuple[list[CheckRow], dict, d
     return rows, {}, {"pool_threads": _pool_size(len(points))}
 
 
-def hciz_suite(seed: int, sets: int, draws: int) -> list[CheckRow]:
-    """Closed forms vs quadrature and vs Monte Carlo over both cosets.
-
-    The 2 * sets Monte Carlo points run on threads (see _run_points).
-    """
-    return _hciz_run(seed, sets, draws)[0]
-
-
 _TAIL_WIDTHS = (4.0, 6.0, 9.0)
 _TAIL_DELTAS = (0.5, 0.7, 0.9)
 
 
-def _chain_run(seed: int, tail_draws: int) -> tuple[list[CheckRow], dict, dict]:
-    """chain_suite's rows, no summary, and the threads of its tail points."""
+def chain_suite(seed: int, tail_draws: int) -> tuple[list[CheckRow], dict, dict]:
+    """Determinant oracle, sinh asymptotics, and tail-decay regression.
+
+    Returns the rows, no summary, and the threads of the tail regression,
+    whose three W run on threads (see _run_points).
+    """
     rows = []
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -442,19 +421,11 @@ def _chain_run(seed: int, tail_draws: int) -> tuple[list[CheckRow], dict, dict]:
     return rows, {}, {"pool_threads": _pool_size(len(tails))}
 
 
-def chain_suite(seed: int, tail_draws: int) -> list[CheckRow]:
-    """Determinant oracle, sinh asymptotics, and tail-decay regression.
-
-    The three W of the tail regression run on threads (see _run_points).
-    """
-    return _chain_run(seed, tail_draws)[0]
-
-
 _REDUCTION_SETTINGS = ((1.0, 1.5, 0.5), (2.0, 1.0, -0.3), (0.8, 2.0, 0.6))
 
 _REDUCTION_PHIS = (
     ("one", lambda y1, y2: np.ones_like(y1)),
-    ("trace", lambda y1, y2: y1 + y2),
+    ("sum_sq", lambda y1, y2: y1**2 + y2**2),
     ("gap_sq", lambda y1, y2: (y1 - y2) ** 2),
 )
 
@@ -464,8 +435,14 @@ _REDUCTION_PHIS = (
 _REDUCTION_STREAMS = 4
 
 
-def _reduction_run(seed: int, draws: int) -> tuple[list[CheckRow], dict, dict]:
-    """reduction_suite's rows, a summary of its substreams and truncation, and its threads."""
+def reduction_suite(seed: int, draws: int) -> tuple[list[CheckRow], dict, dict]:
+    """6-dim MC vs 2-dim reduced quadrature for polynomial observables.
+
+    Every setting and observable shares one set of draws, split over
+    _REDUCTION_STREAMS substreams that run on threads (see _run_points).
+    Returns the rows, a summary of the substreams and the truncation, and
+    the threads.
+    """
     names, phis = zip(*_REDUCTION_PHIS)
     base, extra = divmod(draws, _REDUCTION_STREAMS)
     points = [partial(_reduction_sums, _REDUCTION_SETTINGS, phis, base + (k < extra),
@@ -487,20 +464,15 @@ def _reduction_run(seed: int, draws: int) -> tuple[list[CheckRow], dict, dict]:
             {"pool_threads": _pool_size(len(points))})
 
 
-def reduction_suite(seed: int, draws: int) -> list[CheckRow]:
-    """6-dim MC vs 2-dim reduced quadrature for polynomial observables.
-
-    Every setting and observable shares one set of draws, split over
-    _REDUCTION_STREAMS substreams that run on threads (see _run_points).
-    """
-    return _reduction_run(seed, draws)[0]
-
-
 _TRANSFER_POINTS = ((0, 1.0), (1, 1.0), (4, 2.0))
 
 
-def transfer_suite(seed: int, samples: int, workers: int) -> list[CheckRow]:
-    """Transfer evaluation vs Monte Carlo at small (N, W), both lambda0."""
+def transfer_suite(seed: int, samples: int, workers: int) -> tuple[list[CheckRow], dict, dict]:
+    """Transfer evaluation vs Monte Carlo at small (N, W), both lambda0.
+
+    Returns the rows, no summary and no environment: the grids are too small
+    for a threaded block (see transfer_evaluate).
+    """
     rows = []
     for n, w in _TRANSFER_POINTS:
         # both lambda0 from one Monte Carlo scan of the (n, w) draws
@@ -515,13 +487,7 @@ def transfer_suite(seed: int, samples: int, workers: int) -> list[CheckRow]:
                 sigma = math.hypot(cv.mc_stderr, cv.transfer.quadrature_error_estimate)
                 rows.append(CheckRow(f"transfer_n1_closed_form_l{lambda0:g}",
                                      abs(cv.transfer.f2 - exact), 0.0, 3.0 * sigma))
-    return rows
-
-
-def _transfer_run(seed: int, samples: int, workers: int) -> tuple[list[CheckRow], dict, dict]:
-    """transfer_suite's rows, no summary, and the BLAS threads of its contractions."""
-    return (transfer_suite(seed, samples, workers), {},
-            {"blas_block_threads": _BLOCK_BLAS_THREADS})
+    return rows, {}, {}
 
 
 def _run_suite(command: str, cfg: dict) -> int:
@@ -555,13 +521,13 @@ def cmd_report(cfg: dict) -> int:
 # function returns its check rows and two dicts for the manifest: extra
 # summary and extra environment.
 _SUITES = {
-    "verify-hciz": (_hciz_run, "group integral identities",
+    "verify-hciz": (hciz_suite, "group integral identities",
                     dict(seed=0, sets=20, draws=1_000_000, out="out")),
-    "verify-chain": (_chain_run, "chain determinant and tails",
+    "verify-chain": (chain_suite, "chain determinant and tails",
                      dict(seed=0, tail_draws=40_000, out="out")),
-    "verify-reduction": (_reduction_run, "6-dim vs 2-dim reduction",
+    "verify-reduction": (reduction_suite, "6-dim vs 2-dim reduction",
                          dict(seed=0, draws=1_000_000, out="out")),
-    "transfer-check": (_transfer_run, "transfer vs Monte Carlo",
+    "transfer-check": (transfer_suite, "transfer vs Monte Carlo",
                        dict(seed=0, samples=400_000, workers=1, out="out")),
 }
 

@@ -172,22 +172,18 @@ def tridiagonal_solve(op: TridiagonalOperator, shift: complex, rhs: np.ndarray) 
 
 def tridiagonal_logdet(op: TridiagonalOperator, shift: complex = 0.0,
                        min_pivot: float = PIVOT_FLOOR) -> complex:
-    """log det(op + shift*I) as the sum of principal logs of LU pivots.
+    """log det(op + shift*I) as the sum of principal logs of the pivots of tridiagonal_pivots.
 
     Summing per-pivot logs keeps the imaginary part continuous in the shift
     as long as no pivot crosses the negative real axis; for operators whose
     Hermitian part is positive definite every pivot stays in the open right
     half-plane, so the branch is the one continued from real positive shifts.
+    Raises SingularSystemError when a pivot is below min_pivot times the
+    largest diagonal magnitude (or 1, if larger).
     """
-    b = op.diagonal + shift
-    e = op.offdiagonal
-    logdet = 0.0 + 0.0j
-    pivot = b[0]
-    scale = max(np.max(np.abs(b)), 1.0)
-    for i in range(op.m):
-        if i > 0:
-            pivot = b[i] - e[i - 1] ** 2 / pivot
-        if abs(pivot) < min_pivot * scale:
-            raise SingularSystemError(f"pivot {pivot} below floor at row {i}")
-        logdet += np.log(complex(pivot))
-    return logdet
+    d, _ = tridiagonal_pivots(op, shift)
+    scale = max(np.max(np.abs(op.diagonal + shift)), 1.0)
+    small = np.flatnonzero(np.abs(d) < min_pivot * scale)
+    if small.size:
+        raise SingularSystemError(f"pivot {d[small[0]]} below floor at row {small[0]}")
+    return sum(np.log(d.astype(complex)).tolist(), 0j)    # in row order

@@ -273,13 +273,14 @@ class _OpenBlas(NamedTuple):
     default: int                # the count at load: OPENBLAS_NUM_THREADS, else one per core
 
 
-def _load_openblas() -> _OpenBlas | None:
-    """numpy's bundled OpenBLAS thread controls, or None without one.
+def _load_openblas(package) -> _OpenBlas | None:
+    """The thread controls of the OpenBLAS bundled with numpy or scipy, or None without one.
 
     libscipy_openblas64_ exports blas_thread_shutdown_ without a prefix;
     where it is missing, stop is None.
     """
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+    libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+    for path in sorted(libs.glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
         for suffix in ("64_", ""):
             get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
@@ -310,20 +311,35 @@ def _idle_one_thread(blas: _OpenBlas) -> None:
 # Pinned at import: scans, LU factorisations and the verify suites run on one
 # BLAS thread, which keeps a scan bit-identical for every worker count and
 # keeps pool workers from oversubscribing the cores.
-_OPENBLAS = _load_openblas()
+_OPENBLAS = _load_openblas(np)
 if _OPENBLAS is not None:
     _idle_one_thread(_OPENBLAS)
+
+
+@functools.cache
+def _idle_scipy_openblas() -> None:
+    """Idle scipy's own bundled OpenBLAS, as numpy's is idled at import.
+
+    Called before scipy.linalg loads it, whose import its workers would
+    otherwise spin through: 0.13 s of CPU in a 0.20 s GOE `spectrum`.
+    """
+    import scipy
+
+    blas = _load_openblas(scipy)
+    if blas is not None:
+        _idle_one_thread(blas)
 
 
 @contextmanager
 def _threaded_blas():
     """Run the block with numpy's OpenBLAS on its default thread count.
 
-    For large BLAS calls: the transfer route's contractions and `spectrum`'s
-    eigensolves.  When the block ends, also on an exception, the count
-    returns to 1 and the workers stop.  The thread count is process-wide
-    state, so one thread at a time may use this: `transfer-check` and
-    `spectrum` run it serially, and no cli._run_points point calls it.
+    For large BLAS calls: the transfer route's contractions on grids of more
+    than 80 nodes a side and `spectrum`'s band eigensolves.  When the block
+    ends, also on an exception, the count returns to 1 and the workers stop.
+    The thread count is process-wide state, so one thread at a time may use
+    this: `transfer_evaluate` and `spectrum` run it serially, and no
+    cli._run_points point calls it.
     Without a bundled OpenBLAS the block runs as is.
     """
     if _OPENBLAS is None:

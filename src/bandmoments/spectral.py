@@ -20,6 +20,7 @@ __all__ = [
     "eigenvalues",
     "signed_logdet",
     "signed_logdets",
+    "tridiagonal_eigenvalues",
     "tridiagonal_signed_logdets",
     "rescale_pow2",
     "ncm",
@@ -42,6 +43,20 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"symmetric eigensolver failed to converge: {exc}") from exc
+
+
+def tridiagonal_eigenvalues(diag, offdiag_sq) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with these entries.
+
+    diag holds the N diagonal entries and offdiag_sq the N - 1 squared
+    off-diagonal ones, as one row of sample_goe_tridiagonal's draws.
+    """
+    from .moments import _idle_scipy_openblas  # moments imports this module
+
+    _idle_scipy_openblas()
+    from scipy.linalg import eigvalsh_tridiagonal  # scipy.linalg is slow to import
+
+    return eigvalsh_tridiagonal(diag, np.sqrt(offdiag_sq))
 
 
 def signed_logdets(eigs: np.ndarray, lambdas) -> tuple[np.ndarray, np.ndarray]:

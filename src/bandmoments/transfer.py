@@ -43,6 +43,7 @@ middle site: (N - 1) / 2 bonds, not N - 1.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,14 +201,18 @@ def transfer_evaluate(kernel: TransferKernel) -> TransferResult:
     The returned value is the second; the error estimate is its distance
     from the first (truncation) plus its distance from the third (spacing).
     F2 is real, so the residual imaginary part doubles as a consistency
-    diagnostic.  The contractions' matrix products run on BLAS threads.
+    diagnostic.  The contractions' matrix products run on BLAS threads when
+    the largest grid has more than 80 nodes a side: OpenBLAS gives a (G, G)
+    product a second thread only when G^3 exceeds twice its per-thread
+    threshold of 2^18, so on smaller grids a threaded block would only keep
+    an idle worker spinning.
     """
     params, lambda0, xi, refine = kernel.params, kernel.lambda0, kernel.xi, kernel.refine
-    with _threaded_blas():
-        base = _contract(kernel)
-        wide_kernel = _kernel(params, lambda0, xi, refine, 1.0)
-        wide = _contract(wide_kernel)
-        coarse = _contract(_kernel(params, lambda0, xi, 0.75 * refine, 1.0))
+    wide_kernel = _kernel(params, lambda0, xi, refine, 1.0)
+    kernels = (kernel, wide_kernel, _kernel(params, lambda0, xi, 0.75 * refine, 1.0))
+    threaded = max(len(k.grid.nodes_a) for k in kernels) ** 3 > 2**19
+    with _threaded_blas() if threaded else nullcontext():
+        base, wide, coarse = (_contract(k) for k in kernels)
     err = abs(wide - base) + abs(wide - coarse)
     imag_ratio = abs(wide.imag) / max(abs(wide), 1e-300)
     return TransferResult(

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from bandmoments.cli import (chain_suite, hciz_suite, main, reduction_suite)
-from bandmoments.ensemble import RngStream, sample_goe, sample_symmetric
+from bandmoments.ensemble import RngStream, sample_goe_tridiagonal, sample_symmetric
 from bandmoments.kernels import saddle_data, saddle_f
 from bandmoments.lattice import LatticeParams, variance_profile
 from bandmoments.moments import ScanConfig, _threaded_blas, estimate_ratio
-from bandmoments.spectral import ncm, semicircle_distance
+from bandmoments.spectral import ncm, semicircle_distance, tridiagonal_eigenvalues
 from bandmoments.transfer import cross_validate
 
 WORKERS = 2
@@ -57,7 +57,7 @@ def band_scans():
 
 def test_a1_hciz_u2_quadrature():
     start = time.time()
-    rows = [r for r in hciz_suite(seed=0, sets=20, draws=0)
+    rows = [r for r in hciz_suite(seed=0, sets=20, draws=0)[0]
             if r.check_id.startswith("hciz_u2_quad")]
     elapsed = time.time() - start
     worst = max(r.measured for r in rows)
@@ -68,7 +68,7 @@ def test_a1_hciz_u2_quadrature():
 
 def test_a2_hciz_sp2_monte_carlo():
     start = time.time()
-    rows = hciz_suite(seed=0, sets=20, draws=1_000_000)
+    rows = hciz_suite(seed=0, sets=20, draws=1_000_000)[0]
     elapsed = time.time() - start
     z_rows = [r for r in rows if r.check_id.startswith("hciz_sp2_mc_") and
               "stderr" not in r.check_id]
@@ -82,7 +82,7 @@ def test_a2_hciz_sp2_monte_carlo():
 
 def test_a3_eigenvalue_reduction():
     start = time.time()
-    rows = reduction_suite(seed=0, draws=10_000_000)
+    rows = reduction_suite(seed=0, draws=10_000_000)[0]
     elapsed = time.time() - start
     rel_rows = [r for r in rows if not r.check_id.endswith("stderr_ok")]
     worst = max(r.measured for r in rel_rows)
@@ -93,7 +93,7 @@ def test_a3_eigenvalue_reduction():
 
 def test_a4_gaussian_chain():
     start = time.time()
-    rows = {r.check_id: r for r in chain_suite(seed=0, tail_draws=40_000)}
+    rows = {r.check_id: r for r in chain_suite(seed=0, tail_draws=40_000)[0]}
     elapsed = time.time() - start
     dense = rows["chain_logdet_dense_oracle"]
     asym = rows["chain_asymptotic_320_32"]
@@ -174,14 +174,16 @@ def test_a8_trend_toward_limit(band_scans):
 
 
 def _aggregate_ks(kind: str, size: int, count: int, seed: int) -> float:
+    streams = [RngStream(seed, k) for k in range(count)]
     if kind == "band":
         profile = variance_profile(LatticeParams((size - 1) // 2, 64.0))
-        draws = [sample_symmetric(profile, 1, RngStream(seed, k))[0] for k in range(count)]
-    else:
-        draws = [sample_goe(size, RngStream(seed, k)) for k in range(count)]
-    with _threaded_blas():  # on BLAS threads, as `spectrum` runs its eigensolves
-        eigs = np.sort(np.concatenate([np.linalg.eigvalsh(d) for d in draws]))
-    return semicircle_distance(ncm(eigs, np.linspace(-2.5, 2.5, 201)))
+        draws = [sample_symmetric(profile, 1, stream)[0] for stream in streams]
+        with _threaded_blas():  # on BLAS threads, as `spectrum` runs band eigensolves
+            eigs = [np.linalg.eigvalsh(d) for d in draws]
+    else:  # Dumitriu-Edelman draws, as `spectrum` draws the GOE
+        draws = [sample_goe_tridiagonal(size, 1, stream) for stream in streams]
+        eigs = [tridiagonal_eigenvalues(diag[0], offdiag_sq[0]) for diag, offdiag_sq in draws]
+    return semicircle_distance(ncm(np.sort(np.concatenate(eigs)), np.linspace(-2.5, 2.5, 201)))
 
 
 def test_a9_semicircle():

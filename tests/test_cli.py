@@ -18,10 +18,11 @@ from scipy.special import erfc, gammainc
 
 from bandmoments import cli, group_integrals, moments
 from bandmoments.cli import CheckRow, load_config_file, main
-from bandmoments.ensemble import RngStream
+from bandmoments.ensemble import RngStream, sample_goe_tridiagonal
 from bandmoments.group_integrals import (_reduction_reports, _reduction_sums, hciz_sp2,
                                          hciz_u2, mc_hciz_sp2, mc_hciz_u2)
 from bandmoments.lattice import LatticeParams
+from bandmoments.spectral import ncm
 from bandmoments.transfer import cross_validate
 
 
@@ -173,6 +174,19 @@ class TestSpectrumCommand:
             main(["spectrum", "--ensemble", "band", "--bandwidth", "inf", "--out", str(out)])
         assert not out.exists()
 
+    def test_goe_eigenvalues_are_those_of_the_dense_tridiagonal_draws(self, tmp_path):
+        out = tmp_path / "g"
+        assert main(["spectrum", "--size", "40", "--samples", "3", "--bins", "500",
+                     "--seed", "2", "--out", str(out)]) == 0
+        eigs = []
+        for k in range(3):
+            diag, offdiag_sq = sample_goe_tridiagonal(40, 1, RngStream(2, k))
+            off = np.sqrt(offdiag_sq[0])
+            eigs.append(np.linalg.eigvalsh(np.diag(diag[0]) + np.diag(off, 1) + np.diag(off, -1)))
+        masses = ncm(np.concatenate(eigs), np.linspace(-2.5, 2.5, 501)).masses
+        rows = _read(out / "spectrum.csv").splitlines()[1:]
+        assert [float(row.split(",")[2]) for row in rows] == masses.tolist()
+
     def test_band_ensemble_runs(self, tmp_path):
         out = tmp_path / "b"
         code = main(["spectrum", "--ensemble", "band", "--half-width", "8",
@@ -266,10 +280,15 @@ class TestVerifyCommands:
         assert any(line.endswith(",0") for line in lines[1:])
 
     def test_verify_rerun_byte_identical(self, tmp_path):
-        out1, out2 = tmp_path / "d1", tmp_path / "d2"
-        main(["verify-hciz"] + self.FAST + ["--out", str(out1)])
-        main(["verify-hciz"] + self.FAST + ["--out", str(out2)])
-        assert _read(out1 / "verify.csv") == _read(out2 / "verify.csv")
+        # at these budgets some rows may fail; the rows are written all the same
+        for argv in (["verify-hciz"] + self.FAST,
+                     ["verify-chain", "--tail-draws", "3000", "--seed", "1"],
+                     ["verify-reduction", "--draws", "30000", "--seed", "1"],
+                     ["transfer-check", "--samples", "3000", "--seed", "1"]):
+            out1, out2 = tmp_path / argv[0] / "d1", tmp_path / argv[0] / "d2"
+            main(argv + ["--out", str(out1)])
+            main(argv + ["--out", str(out2)])
+            assert _read(out1 / "verify.csv") == _read(out2 / "verify.csv"), argv[0]
 
     def test_reduction_small(self, tmp_path):
         out = tmp_path / "r"
@@ -297,12 +316,12 @@ class TestVerifyCommands:
         main(["verify-reduction", "--draws", "20000", "--out", str(out)])
         ids = [line.split(",")[0] for line in _read(out / "verify.csv").splitlines()[1:]]
         assert ids == [f"reduction_t{si}_{name}{suffix}" for si in range(3)
-                       for name in ("one", "trace", "gap_sq")
+                       for name in ("one", "sum_sq", "gap_sq")
                        for suffix in ("", "_stderr_ok")]
 
     def test_transfer_rows_equal_per_point_cross_validations(self):
         # one Monte Carlo scan per (n, W) serves both lambda0, to the last bit
-        rows = cli.transfer_suite(seed=3, samples=3000, workers=1)
+        rows = cli.transfer_suite(seed=3, samples=3000, workers=1)[0]
         expected = []
         for n, w in cli._TRANSFER_POINTS:
             for lambda0 in (0.0, 1.0):
@@ -321,7 +340,7 @@ class TestVerifyCommands:
     def test_pooled_rows_equal_serial_per_point_calls(self):
         # the points run on threads; each keeps its stream and sums, to the last bit
         seed, sets, draws = 2, 3, 5000
-        rows = {r.check_id: r for r in cli.hciz_suite(seed, sets, draws)}
+        rows = {r.check_id: r for r in cli.hciz_suite(seed, sets, draws)[0]}
         for k, p in enumerate(cli._hciz_parameter_sets(seed, sets)):
             mean, se = mc_hciz_sp2(p, draws, RngStream(seed, 100 + k))
             assert rows[f"hciz_sp2_mc_{k:02d}"].measured == abs(mean - hciz_sp2(p)) / se
@@ -351,7 +370,7 @@ class TestVerifyCommands:
                                       0.0, 0.01),
                              CheckRow(f"reduction_t{si}_{name}_stderr_ok",
                                       float(rep.stderr_ok), 1.0, 0.5)]
-        assert cli.reduction_suite(seed, draws + 1) == expected
+        assert cli.reduction_suite(seed, draws + 1)[0] == expected
 
     @pytest.mark.parametrize("argv", [["verify-chain", "--tail-draws", "3000"],
                                       ["verify-reduction", "--draws", "30000"]],
@@ -399,7 +418,7 @@ class TestVerifyCommands:
 
     def test_chain_tail_rows_fail_without_a_fit(self, tmp_path):
         # one draw per point gives frequencies 0 or 1: no point to fit
-        rows = {r.check_id: r for r in cli.chain_suite(seed=0, tail_draws=1)}
+        rows = {r.check_id: r for r in cli.chain_suite(seed=0, tail_draws=1)[0]}
         assert not rows["chain_tail_slope_negative"].passed
         assert not rows["chain_tail_fit_r2"].passed
         out = tmp_path / "c1"
@@ -432,26 +451,28 @@ class TestManifest:
         assert cli._git_describe() != "unknown"
 
     def test_records_libraries_and_blas_threads(self, tmp_path):
-        # scans and suites run on the one BLAS thread pinned at import; spectrum's
-        # eigensolves and transfer-check's contractions on the library default
+        # scans, suites and GOE spectra run on the one BLAS thread pinned at
+        # import; band spectra's eigensolves on the library default
         blas = moments._OPENBLAS
         expected = {"numpy": np.__version__, "scipy": scipy.__version__,
                     "openblas_threads": None if blas is None else 1}
         block = None if blas is None else blas.default
-        assert main(["spectrum", "--size", "8", "--samples", "2", "--bins", "5",
-                     "--out", str(tmp_path / "s")]) == 0
-        manifest = json.loads(_read(tmp_path / "s" / "manifest.json"))
-        assert manifest["environment"] == {**expected, "blas_block_threads": block}
+        for ensemble, extra in (("goe", {}), ("band", {"blas_block_threads": block})):
+            assert main(["spectrum", "--ensemble", ensemble, "--size", "8", "--half-width", "3",
+                         "--samples", "2", "--bins", "5", "--out", str(tmp_path / "s")]) == 0
+            manifest = json.loads(_read(tmp_path / "s" / "manifest.json"))
+            assert manifest["environment"] == {**expected, **extra}
         for ensemble, source in (("band", "dense"), ("goe", "dumitriu-edelman")):
             assert main(["scan-f2", "--ensemble", ensemble, "--size", "8", "--half-width", "3",
                          "--bandwidth", "2", "--samples", "40", "--xi-diffs", "0,1",
                          "--out", str(tmp_path / ensemble)]) == 0
             manifest = json.loads(_read(tmp_path / ensemble / "manifest.json"))
             assert manifest["environment"] == {**expected, "sample_source": source}
-        # at so few samples some rows may fail; the manifest is written all the same
+        # at so few samples some rows may fail; the manifest is written all the same.
+        # Its grids are too small for a threaded block.
         main(["transfer-check", "--samples", "200", "--out", str(tmp_path / "t")])
         manifest = json.loads(_read(tmp_path / "t" / "manifest.json"))
-        assert manifest["environment"] == {**expected, "blas_block_threads": block}
+        assert manifest["environment"] == expected
 
     def test_pooled_suites_record_their_threads(self, tmp_path):
         # at so few draws some rows fail; the manifest is written all the same

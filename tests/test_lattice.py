@@ -11,7 +11,7 @@ from scipy.linalg import solve_banded
 
 from bandmoments.lattice import (LatticeParams, SingularSystemError,
                                  TridiagonalOperator, neumann_laplacian,
-                                 tridiagonal_logdet, tridiagonal_solve,
+                                 tridiagonal_logdet, tridiagonal_pivots, tridiagonal_solve,
                                  variance_profile)
 
 RNG = np.random.default_rng(0)
@@ -194,3 +194,17 @@ class TestTridiagonalLogdet:
         op = TridiagonalOperator(np.zeros(2), np.zeros(1))
         with pytest.raises(SingularSystemError):
             tridiagonal_logdet(op)
+
+    def test_sums_principal_logs_of_the_solver_pivots(self):
+        off = RNG.uniform(-1.0, 1.0, 29) + 1j * RNG.uniform(-1.0, 1.0, 29)
+        op = TridiagonalOperator(RNG.uniform(-2.0, 2.0, 30), off)
+        shift = complex(0.4, 1.3)
+        pivots, _ = tridiagonal_pivots(op, shift)
+        assert tridiagonal_logdet(op, shift) == sum(np.log(p) for p in pivots.astype(complex))
+
+    def test_pivot_below_floor_signaled(self):
+        # a pivot of 1e-16 is nonzero, so only the floor can reject it
+        op = TridiagonalOperator(np.array([1e-16, 1.0]), np.array([0.5]))
+        assert tridiagonal_logdet(op, min_pivot=1e-17).real < 0.0
+        with pytest.raises(SingularSystemError, match="below floor at row 0"):
+            tridiagonal_logdet(op, min_pivot=1e-14)

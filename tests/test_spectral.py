@@ -12,7 +12,8 @@ from bandmoments.ensemble import RngStream, sample_goe, sample_goe_tridiagonal
 from bandmoments.kernels import semicircle_cdf
 from bandmoments.spectral import (NcmHistogram, eigenvalues, ncm,
                                   semicircle_distance, signed_logdet,
-                                  signed_logdets, tridiagonal_signed_logdets)
+                                  signed_logdets, tridiagonal_eigenvalues,
+                                  tridiagonal_signed_logdets)
 
 RNG = np.random.default_rng(1)
 
@@ -54,6 +55,13 @@ class TestEigenvalues:
         assert np.all(np.diff(eigs) >= 0.0)
         assert abs(eigs.sum() - np.trace(h)) < 1e-8 * 8
         assert abs((eigs**2).sum() - (h**2).sum()) < 1e-8 * 8
+
+    @pytest.mark.parametrize("N", [1, 2, 64])
+    def test_tridiagonal_matches_dense(self, N):
+        diag, offdiag_sq = sample_goe_tridiagonal(N, 5, RngStream(13))
+        for d, b2 in zip(diag, offdiag_sq):
+            np.testing.assert_allclose(tridiagonal_eigenvalues(d, b2),
+                                       eigenvalues(_dense_tridiagonal(d, b2)), rtol=0, atol=1e-13)
 
 
 class TestSignedLogdet:

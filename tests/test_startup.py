@@ -8,8 +8,10 @@ numpy.random is imported eagerly, so its lazy load does not land in the
 first timed call.
 
 numpy's OpenBLAS is pinned to one thread at import, with its idle worker
-threads stopped, and only threaded blocks (the transfer contractions) raise
-the count; after each the process holds its one OS thread again.
+threads stopped, and only threaded blocks (transfer contractions on grids
+large enough to split a product, band spectra) raise the count; after each
+the process holds its one OS thread again.  Small-grid contractions and GOE
+spectra enter no such block.
 """
 
 import json
@@ -30,6 +32,7 @@ import ctypes, json, sys
 from pathlib import Path
 import numpy
 import bandmoments.cli
+import bandmoments.transfer
 from bandmoments import LatticeParams, build_kernel, transfer_evaluate
 
 libs = sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas64_*"))
@@ -43,6 +46,13 @@ def state():
              "blas_threads": blas_threads(),
              "os_threads": len(list(tasks.iterdir())) if tasks.is_dir() else None}}
 
+def record_during(module, name, when):
+    inner = getattr(module, name)
+    def wrapper(*args):
+        report[when] = state()
+        return inner(*args)
+    setattr(module, name, wrapper)
+
 def scan(*argv):
     return bandmoments.cli.main(["scan-f2", "--samples", "20", *argv,
                                  "--out", sys.argv[1] + argv[1]])
@@ -54,8 +64,14 @@ report["after_goe_scan"] = state()
 report["band_exit"] = scan("--ensemble", "band", "--half-width", "4", "--bandwidth", "2",
                            "--xi-diffs", "1")
 report["after_band_scan"] = state()
+# N = 3, W = 1: grids of 27-35 nodes a side
+record_during(bandmoments.transfer, "_contract", "during_transfer")
 transfer_evaluate(build_kernel(LatticeParams(1, 1.0), 0.0, 0.0))
 report["after_transfer"] = state()
+record_during(bandmoments.cli, "tridiagonal_eigenvalues", "during_goe_spectrum")
+report["spectrum_exit"] = bandmoments.cli.main(["spectrum", "--size", "64", "--samples", "2",
+                                                "--out", sys.argv[1] + "spectrum"])
+report["after_goe_spectrum"] = state()
 print(json.dumps(report))
 """
 
@@ -68,7 +84,7 @@ def report(tmp_path_factory):
     proc = subprocess.run([sys.executable, "-c", PROBE, str(out)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert (report["goe_exit"], report["band_exit"]) == (0, 0)
+    assert (report["goe_exit"], report["band_exit"], report["spectrum_exit"]) == (0, 0, 0)
     return report
 
 
@@ -79,7 +95,8 @@ def test_cli_import_and_goe_scan_skip_heavy_scipy(report):
 
 
 def test_one_blas_thread_and_no_worker_after_scans_and_transfer(report):
-    for when in ("after_import", "after_goe_scan", "after_band_scan", "after_transfer"):
+    for when in ("after_import", "after_goe_scan", "after_band_scan", "during_transfer",
+                 "after_transfer", "during_goe_spectrum", "after_goe_spectrum"):
         threads = report[when]["blas_threads"], report[when]["os_threads"]
         if None in threads:  # no bundled OpenBLAS, or no /proc to count threads in
             pytest.skip(f"thread state not readable: {threads}")
