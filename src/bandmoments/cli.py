@@ -34,7 +34,7 @@ from .kernels import semicircle_cdf
 from .lattice import LatticeParams, variance_profile
 from .moments import (_OPENBLAS, ScanConfig, _threaded_blas, estimate_ratio,
                       scaled_energies)
-from .spectral import eigenvalues, ncm, semicircle_distance, tridiagonal_eigenvalues
+from .spectral import NcmHistogram, eigenvalues, ncm, semicircle_distance, tridiagonal_counts
 from .transfer import _cross_validations
 
 __all__ = ["main", "CheckRow"]
@@ -204,26 +204,27 @@ _SPECTRUM_DEFAULTS = dict(ensemble="goe", size=256, half_width=0, bandwidth=8.0,
 
 def cmd_spectrum(cfg: dict) -> int:
     streams = [RngStream(cfg["seed"], k) for k in range(cfg["samples"])]
+    edges = np.linspace(-2.5, 2.5, cfg["bins"] + 1)
     if cfg["ensemble"] == "goe":
-        # Dumitriu-Edelman draws: the GOE eigenvalue law from O(N) entries each
-        draws = (sample_goe_tridiagonal(cfg["size"], 1, stream) for stream in streams)
-        eigs = np.concatenate([tridiagonal_eigenvalues(diag[0], offdiag_sq[0])
-                               for diag, offdiag_sq in draws])
+        # Dumitriu-Edelman draws, the GOE eigenvalue law from O(N) entries
+        # each, binned by the count of eigenvalues below each edge
+        diag, offdiag_sq = (np.concatenate(parts) for parts in zip(
+            *(sample_goe_tridiagonal(cfg["size"], 1, stream) for stream in streams)))
+        below = tridiagonal_counts(diag, offdiag_sq, edges).sum(axis=0)
+        hist = NcmHistogram(edges, np.diff(below) / diag.size, diag.size)
         environment = {}
     else:
         profile = variance_profile(LatticeParams(cfg["half_width"], cfg["bandwidth"]))
         with _threaded_blas():
             eigs = np.concatenate([eigenvalues(sample_symmetric(profile, 1, stream)[0])
                                    for stream in streams])
+        hist = ncm(eigs, edges)
         environment = {"blas_block_threads": None if _OPENBLAS is None else _OPENBLAS.default}
     outdir = _outdir(cfg)
-    edges = np.linspace(-2.5, 2.5, cfg["bins"] + 1)
-    hist = ncm(eigs, edges)
     ks = semicircle_distance(hist)
     sc_mass = np.diff(semicircle_cdf(edges))
     _write_csv(outdir / "spectrum.csv", _SPECTRUM_SCHEMA,
-               [(edges[i], edges[i + 1], hist.masses[i], sc_mass[i])
-                for i in range(len(hist.masses))])
+               zip(edges[:-1], edges[1:], hist.masses, sc_mass))
     _write_manifest(outdir, "spectrum", cfg, {"ks_distance": ks}, **environment)
     print(f"ks_distance = {ks:.6f}")
     return 0
@@ -298,15 +299,8 @@ def _run_points(points: list) -> list:
     in the caller's thread only.
 
     Scans keep their process pool: two threads running their blocks were no
-    faster than one thread running them in turn.  Two band scan blocks
-    (OPENBLAS_NUM_THREADS=1, 2 vCPUs) took 0.85-1.24 s one after the other
-    against 0.98-1.09 s on two threads at N=9, 2e5 samples, and 2.14-2.22 s
-    against 2.22-2.46 s at N=33, 4e4 samples.  numpy's batched slogdet keeps
-    the GIL for batches of 500 matrices or fewer (a spinning Python thread
-    ran half as fast beside 499-matrix calls as beside 501-matrix ones), and
-    a chunk at N=9 with two energies is 404 matrices per call.  Even with the
-    GIL released, two threads gained little: ten 4000-matrix calls each at
-    n=9 took 0.060-0.082 s on two threads against 0.067-0.084 s in turn.
+    faster than one thread running them in turn, as numpy's batched slogdet
+    keeps the GIL for 500 matrices or fewer (measurements in README.md).
     """
     from concurrent.futures import ThreadPoolExecutor
 

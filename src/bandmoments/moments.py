@@ -273,14 +273,13 @@ class _OpenBlas(NamedTuple):
     default: int                # the count at load: OPENBLAS_NUM_THREADS, else one per core
 
 
-def _load_openblas(package) -> _OpenBlas | None:
-    """The thread controls of the OpenBLAS bundled with numpy or scipy, or None without one.
+def _load_openblas() -> _OpenBlas | None:
+    """numpy's bundled OpenBLAS thread controls, or None without one.
 
     libscipy_openblas64_ exports blas_thread_shutdown_ without a prefix;
     where it is missing, stop is None.
     """
-    libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-    for path in sorted(libs.glob("*openblas*")):
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
         for suffix in ("64_", ""):
             get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
@@ -311,23 +310,9 @@ def _idle_one_thread(blas: _OpenBlas) -> None:
 # Pinned at import: scans, LU factorisations and the verify suites run on one
 # BLAS thread, which keeps a scan bit-identical for every worker count and
 # keeps pool workers from oversubscribing the cores.
-_OPENBLAS = _load_openblas(np)
+_OPENBLAS = _load_openblas()
 if _OPENBLAS is not None:
     _idle_one_thread(_OPENBLAS)
-
-
-@functools.cache
-def _idle_scipy_openblas() -> None:
-    """Idle scipy's own bundled OpenBLAS, as numpy's is idled at import.
-
-    Called before scipy.linalg loads it, whose import its workers would
-    otherwise spin through: 0.13 s of CPU in a 0.20 s GOE `spectrum`.
-    """
-    import scipy
-
-    blas = _load_openblas(scipy)
-    if blas is not None:
-        _idle_one_thread(blas)
 
 
 @contextmanager

@@ -3,7 +3,9 @@
 Signed logs of det(lam - H) come from a spectrum (`signed_logdets`, one
 eigensolve per matrix) or, for a symmetric tridiagonal H, straight from its
 entries (`tridiagonal_signed_logdets`, O(N) per matrix and energy).  Both
-return the same (logs, int8 signs) pair.
+return the same (logs, int8 signs) pair.  The signs of the same pivots count
+the eigenvalues below a point (`tridiagonal_counts`), which bins a
+tridiagonal spectrum with no eigensolve.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ __all__ = [
     "eigenvalues",
     "signed_logdet",
     "signed_logdets",
-    "tridiagonal_eigenvalues",
+    "tridiagonal_counts",
     "tridiagonal_signed_logdets",
     "rescale_pow2",
     "ncm",
@@ -43,20 +45,6 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"symmetric eigensolver failed to converge: {exc}") from exc
-
-
-def tridiagonal_eigenvalues(diag, offdiag_sq) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric tridiagonal matrix with these entries.
-
-    diag holds the N diagonal entries and offdiag_sq the N - 1 squared
-    off-diagonal ones, as one row of sample_goe_tridiagonal's draws.
-    """
-    from .moments import _idle_scipy_openblas  # moments imports this module
-
-    _idle_scipy_openblas()
-    from scipy.linalg import eigvalsh_tridiagonal  # scipy.linalg is slow to import
-
-    return eigvalsh_tridiagonal(diag, np.sqrt(offdiag_sq))
 
 
 def signed_logdets(eigs: np.ndarray, lambdas) -> tuple[np.ndarray, np.ndarray]:
@@ -88,14 +76,7 @@ def tridiagonal_signed_logdets(diag, offdiag_sq, lambdas) -> tuple[np.ndarray, n
     the next pivot infinite; those entries are evaluated again by
     _three_term_logdets, which does not divide.
     """
-    diag = np.asarray(diag, dtype=float)
-    offdiag_sq = np.asarray(offdiag_sq, dtype=float)
-    lambdas = np.asarray(lambdas, dtype=float)
-    if diag.ndim != 2 or offdiag_sq.shape != (len(diag), max(diag.shape[1] - 1, 0)):
-        raise ValueError(f"expected (batch, N) and (batch, N - 1) arrays, "
-                         f"got {diag.shape} and {offdiag_sq.shape}")
-    if not all(np.all(np.isfinite(x)) for x in (diag, offdiag_sq, lambdas)):
-        raise ValueError("tridiagonal entries and energies must be finite")
+    diag, offdiag_sq, lambdas = _tridiagonal_batch(diag, offdiag_sq, lambdas)
     # one pivot row d_k of every (sample, energy) at a time; the running sum
     # adds the log|d_k| in the order k = 0, 1, ..., as a sum over k would
     logd = np.zeros((len(diag), len(lambdas)))
@@ -116,6 +97,41 @@ def tridiagonal_signed_logdets(diag, offdiag_sq, lambdas) -> tuple[np.ndarray, n
             lambdas[energies, None] - diag[samples], offdiag_sq[samples])
     signs[logd == -math.inf] = 0
     return logd, signs
+
+
+def tridiagonal_counts(diag, offdiag_sq, x) -> np.ndarray:
+    """Number of eigenvalues below each x of a batch of symmetric tridiagonal T.
+
+    Entries as in tridiagonal_signed_logdets; returns (batch, len(x)) counts.
+    By Sylvester's law of inertia the count is the number of positive pivots
+    d_k = (x - a_k) - b_{k-1}^2 / d_{k-1} of x - T (the Sturm count of
+    Barth, Martin & Wilkinson's bisection).  A pivot below the smallest normal
+    float in magnitude becomes -tiny, as in LAPACK's dstebz, so an eigenvalue
+    exactly at x is not counted: it falls in the bin to the right of an edge.
+    """
+    diag, offdiag_sq, x = _tridiagonal_batch(diag, offdiag_sq, x)
+    tiny = np.finfo(float).tiny
+    counts = np.zeros((len(diag), len(x)), dtype=np.int64)
+    # b^2 / -tiny may overflow: the next pivot is then +inf, the one after x - a
+    with np.errstate(over="ignore"):
+        for k in range(diag.shape[1]):
+            pivot = x - diag[:, k, None]
+            if k:
+                pivot -= offdiag_sq[:, k - 1, None] / prev
+            prev = np.where(np.abs(pivot) < tiny, -tiny, pivot)
+            counts += prev > 0.0
+    return counts
+
+
+def _tridiagonal_batch(diag, offdiag_sq, points):
+    """The arguments as float arrays, checked to be (batch, N), (batch, N - 1) and finite."""
+    diag, offdiag_sq, points = (np.asarray(a, dtype=float) for a in (diag, offdiag_sq, points))
+    if diag.ndim != 2 or offdiag_sq.shape != (len(diag), max(diag.shape[1] - 1, 0)):
+        raise ValueError(f"expected (batch, N) and (batch, N - 1) arrays, "
+                         f"got {diag.shape} and {offdiag_sq.shape}")
+    if not all(np.all(np.isfinite(a)) for a in (diag, offdiag_sq, points)):
+        raise ValueError("tridiagonal entries and evaluation points must be finite")
+    return diag, offdiag_sq, points
 
 
 def _three_term_logdets(shifted, offdiag_sq) -> tuple[np.ndarray, np.ndarray]:

@@ -205,20 +205,24 @@ def transfer_evaluate(kernel: TransferKernel) -> TransferResult:
     the largest grid has more than 80 nodes a side: OpenBLAS gives a (G, G)
     product a second thread only when G^3 exceeds twice its per-thread
     threshold of 2^18, so on smaller grids a threaded block would only keep
-    an idle worker spinning.
+    an idle worker spinning.  Each widened kernel is built just before its
+    contraction, so at most one of them is held at a time.
     """
     params, lambda0, xi, refine = kernel.params, kernel.lambda0, kernel.xi, kernel.refine
-    wide_kernel = _kernel(params, lambda0, xi, refine, 1.0)
-    kernels = (kernel, wide_kernel, _kernel(params, lambda0, xi, 0.75 * refine, 1.0))
-    threaded = max(len(k.grid.nodes_a) for k in kernels) ** 3 > 2**19
+    grids = (kernel.grid, *(_build_grid(params, lambda0, r, 1.0) for r in (refine, 0.75 * refine)))
+    threaded = max(len(g.nodes_a) for g in grids) ** 3 > 2**19
     with _threaded_blas() if threaded else nullcontext():
-        base, wide, coarse = (_contract(k) for k in kernels)
+        base = _contract(kernel)
+        wide_kernel = _kernel(params, lambda0, xi, refine, 1.0)
+        wide, log_prefactor = _contract(wide_kernel), wide_kernel.log_prefactor_magnitude
+        del wide_kernel
+        coarse = _contract(_kernel(params, lambda0, xi, 0.75 * refine, 1.0))
     err = abs(wide - base) + abs(wide - coarse)
     imag_ratio = abs(wide.imag) / max(abs(wide), 1e-300)
     return TransferResult(
         value=wide,
         quadrature_error_estimate=err,
-        log_prefactor_magnitude=wide_kernel.log_prefactor_magnitude,
+        log_prefactor_magnitude=log_prefactor,
         imag_ratio=imag_ratio,
         converged=err <= 5e-3 * abs(wide),
     )

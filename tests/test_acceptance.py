@@ -19,7 +19,7 @@ from bandmoments.ensemble import RngStream, sample_goe_tridiagonal, sample_symme
 from bandmoments.kernels import saddle_data, saddle_f
 from bandmoments.lattice import LatticeParams, variance_profile
 from bandmoments.moments import ScanConfig, _threaded_blas, estimate_ratio
-from bandmoments.spectral import ncm, semicircle_distance, tridiagonal_eigenvalues
+from bandmoments.spectral import NcmHistogram, ncm, semicircle_distance, tridiagonal_counts
 from bandmoments.transfer import cross_validate
 
 WORKERS = 2
@@ -175,15 +175,18 @@ def test_a8_trend_toward_limit(band_scans):
 
 def _aggregate_ks(kind: str, size: int, count: int, seed: int) -> float:
     streams = [RngStream(seed, k) for k in range(count)]
+    edges = np.linspace(-2.5, 2.5, 201)
     if kind == "band":
         profile = variance_profile(LatticeParams((size - 1) // 2, 64.0))
         draws = [sample_symmetric(profile, 1, stream)[0] for stream in streams]
         with _threaded_blas():  # on BLAS threads, as `spectrum` runs band eigensolves
             eigs = [np.linalg.eigvalsh(d) for d in draws]
-    else:  # Dumitriu-Edelman draws, as `spectrum` draws the GOE
-        draws = [sample_goe_tridiagonal(size, 1, stream) for stream in streams]
-        eigs = [tridiagonal_eigenvalues(diag[0], offdiag_sq[0]) for diag, offdiag_sq in draws]
-    return semicircle_distance(ncm(np.sort(np.concatenate(eigs)), np.linspace(-2.5, 2.5, 201)))
+        return semicircle_distance(ncm(np.sort(np.concatenate(eigs)), edges))
+    # Dumitriu-Edelman draws binned by eigenvalue counts, as `spectrum` bins the GOE
+    diag, offdiag_sq = (np.concatenate(parts) for parts in zip(
+        *(sample_goe_tridiagonal(size, 1, stream) for stream in streams)))
+    below = tridiagonal_counts(diag, offdiag_sq, edges).sum(axis=0)
+    return semicircle_distance(NcmHistogram(edges, np.diff(below) / diag.size, diag.size))
 
 
 def test_a9_semicircle():

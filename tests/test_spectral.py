@@ -12,7 +12,7 @@ from bandmoments.ensemble import RngStream, sample_goe, sample_goe_tridiagonal
 from bandmoments.kernels import semicircle_cdf
 from bandmoments.spectral import (NcmHistogram, eigenvalues, ncm,
                                   semicircle_distance, signed_logdet,
-                                  signed_logdets, tridiagonal_eigenvalues,
+                                  signed_logdets, tridiagonal_counts,
                                   tridiagonal_signed_logdets)
 
 RNG = np.random.default_rng(1)
@@ -55,13 +55,6 @@ class TestEigenvalues:
         assert np.all(np.diff(eigs) >= 0.0)
         assert abs(eigs.sum() - np.trace(h)) < 1e-8 * 8
         assert abs((eigs**2).sum() - (h**2).sum()) < 1e-8 * 8
-
-    @pytest.mark.parametrize("N", [1, 2, 64])
-    def test_tridiagonal_matches_dense(self, N):
-        diag, offdiag_sq = sample_goe_tridiagonal(N, 5, RngStream(13))
-        for d, b2 in zip(diag, offdiag_sq):
-            np.testing.assert_allclose(tridiagonal_eigenvalues(d, b2),
-                                       eigenvalues(_dense_tridiagonal(d, b2)), rtol=0, atol=1e-13)
 
 
 class TestSignedLogdet:
@@ -199,6 +192,43 @@ class TestTridiagonalSignedLogdets:
         # the product of absolute row sums bounds |det| and the rounding of both
         bound = np.prod(np.abs(shifted).sum(axis=1))
         assert abs(got - sign * math.exp(log_abs)) <= 1e-12 * n * bound
+
+
+class TestTridiagonalCounts:
+    @pytest.mark.parametrize("N", [1, 2, 64])
+    def test_matches_dense_eigenvalues_below(self, N):
+        diag, offdiag_sq = sample_goe_tridiagonal(N, 5, RngStream(13))
+        x = np.random.default_rng(N).uniform(-2.5, 2.5, 50)
+        counts = tridiagonal_counts(diag, offdiag_sq, x)
+        for row, d, b2 in zip(counts, diag, offdiag_sq):
+            eigs = eigenvalues(_dense_tridiagonal(d, b2))
+            np.testing.assert_array_equal(row, np.sum(eigs[None, :] < x[:, None], axis=1))
+
+    @pytest.mark.parametrize("diag,offdiag_sq,x,expected", [
+        ([0.0, 0.0], [1.0], [-1.0, 0.0, 1.0, 2.0], [0, 1, 1, 2]),  # eigenvalues -1, 1
+        ([0.0, 0.0, 0.0], [1.0, 1.0], [0.0], [1]),                  # -sqrt(2), 0, sqrt(2)
+    ])
+    def test_eigenvalue_at_x_is_not_below_it(self, diag, offdiag_sq, x, expected):
+        np.testing.assert_array_equal(tridiagonal_counts([diag], [offdiag_sq], x), [expected])
+
+    @PROPERTY
+    @given(t=_tridiagonals(), x=st.lists(ENTRY, min_size=1, max_size=12))
+    def test_nondecreasing_and_bounded_by_gershgorin(self, t, x):
+        diag, offdiag_sq = t
+        off = np.sqrt(offdiag_sq)
+        radius = np.concatenate([[0.0], off]) + np.concatenate([off, [0.0]])
+        low, high = np.min(diag - radius), np.max(diag + radius)
+        x = np.sort(np.concatenate([x, [low - 1.0, high + 1.0]]))
+        counts = tridiagonal_counts([diag], [offdiag_sq], x)[0]
+        assert np.all(np.diff(counts) >= 0)
+        assert np.all(counts[x < low - 1e-9] == 0)
+        assert np.all(counts[x > high + 1e-9] == len(diag))
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            tridiagonal_counts(np.zeros((2, 3)), np.zeros((2, 3)), [0.0])
+        with pytest.raises(ValueError):
+            tridiagonal_counts(np.zeros((1, 2)), [[1.0]], [np.nan])
 
 
 class TestNcm:

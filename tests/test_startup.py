@@ -2,7 +2,8 @@
 
 `import scipy.linalg` alone took about 0.25 s and 20 MiB of a fresh
 interpreter's start-up, so a module under src/ imports a scipy submodule only
-inside the function that needs it.  The process pool, which loads
+inside the function that needs it, and neither a GOE scan nor a GOE
+spectrum needs one.  The process pool, which loads
 multiprocessing, and the thread pool are imported where a pool starts.
 numpy.random is imported eagerly, so its lazy load does not land in the
 first timed call.
@@ -68,7 +69,7 @@ report["after_band_scan"] = state()
 record_during(bandmoments.transfer, "_contract", "during_transfer")
 transfer_evaluate(build_kernel(LatticeParams(1, 1.0), 0.0, 0.0))
 report["after_transfer"] = state()
-record_during(bandmoments.cli, "tridiagonal_eigenvalues", "during_goe_spectrum")
+record_during(bandmoments.cli, "tridiagonal_counts", "during_goe_spectrum")
 report["spectrum_exit"] = bandmoments.cli.main(["spectrum", "--size", "64", "--samples", "2",
                                                 "--out", sys.argv[1] + "spectrum"])
 report["after_goe_spectrum"] = state()
@@ -89,7 +90,7 @@ def report(tmp_path_factory):
 
 
 def test_cli_import_and_goe_scan_skip_heavy_scipy(report):
-    for when in ("after_import", "after_goe_scan"):
+    for when in ("after_import", "after_goe_scan", "after_goe_spectrum"):
         assert report[when]["heavy"] == [], when
         assert report[when]["numpy.random"], when
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bandmoments import transfer
 from bandmoments.group_integrals import HcizParams, hciz_sp2
 from bandmoments.kernels import rho
 from bandmoments.lattice import LatticeParams
@@ -214,6 +215,22 @@ class TestRefinement:
         assert result.quadrature_error_estimate == pytest.approx(
             abs(wide - _contract(k)) + abs(wide - coarse))
         assert result.converged
+
+    def test_builds_each_widened_kernel_just_before_its_contraction(self, monkeypatch):
+        # one (G, G) kernel set at a time beside the caller's, not three at once
+        kernel = build_kernel(LatticeParams(1, 1.0), 0.0, 0.0)
+        calls = []
+
+        def record(name, inner):
+            def wrapper(*args):
+                calls.append(name)
+                return inner(*args)
+            monkeypatch.setattr(transfer, name, wrapper)
+
+        record("_kernel", transfer._kernel)
+        record("_contract", transfer._contract)
+        transfer_evaluate(kernel)
+        assert calls == ["_contract", "_kernel", "_contract", "_kernel", "_contract"]
 
 
 HONEST_POINTS = list(itertools.product((1, 3), (1.0, 2.0, 4.0), (0.0, 1.0), (0.0, 0.5)))
