@@ -22,14 +22,14 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .chain import (ChainParams, chain_log_asymptotic, chain_log_partition,
                     chain_logdet, chain_operator, tail_probability)
 from .ensemble import RngStream, sample_goe_tridiagonal, sample_symmetric
-from .group_integrals import (TAYLOR_CUTOFF, HcizParams, _reduction_reports, _reduction_sums,
-                              hciz_sp2, hciz_u2, mc_hciz_sp2, mc_hciz_u2, u2_quadrature)
+from .group_integrals import (TAYLOR_CUTOFF, HcizParams, _check_budget, _reduction_reports,
+                              _reduction_sums, hciz_sp2, hciz_u2, mc_hciz_sp2, mc_hciz_u2,
+                              u2_quadrature)
 from .kernels import semicircle_cdf
 from .lattice import LatticeParams, variance_profile
 from .moments import (_OPENBLAS, ScanConfig, _threaded_blas, estimate_ratio,
@@ -161,7 +161,7 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, summary: dict,
         "command": command,
         "version": __version__,
         "git": _git_describe(),
-        "environment": {"numpy": np.__version__, "scipy": scipy.__version__,
+        "environment": {"numpy": np.__version__,
                         "openblas_threads": None if _OPENBLAS is None else _OPENBLAS.get(),
                         **environment},
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -215,11 +215,11 @@ def cmd_spectrum(cfg: dict) -> int:
         environment = {}
     else:
         profile = variance_profile(LatticeParams(cfg["half_width"], cfg["bandwidth"]))
-        with _threaded_blas():
+        with _threaded_blas(len(profile)) as threads:
             eigs = np.concatenate([eigenvalues(sample_symmetric(profile, 1, stream)[0])
                                    for stream in streams])
         hist = ncm(eigs, edges)
-        environment = {"blas_block_threads": None if _OPENBLAS is None else _OPENBLAS.default}
+        environment = {"blas_block_threads": threads}
     outdir = _outdir(cfg)
     ks = semicircle_distance(hist)
     sc_mass = np.diff(semicircle_cdf(edges))
@@ -437,6 +437,7 @@ def reduction_suite(seed: int, draws: int) -> tuple[list[CheckRow], dict, dict]:
     Returns the rows, a summary of the substreams and the truncation, and
     the threads.
     """
+    _check_budget(draws)
     names, phis = zip(*_REDUCTION_PHIS)
     base, extra = divmod(draws, _REDUCTION_STREAMS)
     points = [partial(_reduction_sums, _REDUCTION_SETTINGS, phis, base + (k < extra),
@@ -465,7 +466,7 @@ def transfer_suite(seed: int, samples: int, workers: int) -> tuple[list[CheckRow
     """Transfer evaluation vs Monte Carlo at small (N, W), both lambda0.
 
     Returns the rows, no summary and no environment: the grids are too small
-    for a threaded block (see transfer_evaluate).
+    for a threaded block (see moments._threaded_blas).
     """
     rows = []
     for n, w in _TRANSFER_POINTS:

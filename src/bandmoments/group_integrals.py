@@ -228,8 +228,9 @@ def u2_quadrature(p: HcizParams) -> complex:
 
 
 def _check_budget(draws: int) -> None:
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
+    """A mean needs 2 draws for an error bar."""
+    if draws < 2:
+        raise ValueError(f"draws must be at least 2, got {draws}")
 
 
 def _mc_mean(batch_values, draws: int, rng, chunk: int) -> tuple[complex, float]:
@@ -357,7 +358,6 @@ def _reduction_sums(settings, phis, draws: int, rng) -> tuple[np.ndarray, np.nda
             raise ValueError(f"t must be positive, got {t}")
         if d1 == d2:
             raise ValueError("the reduction formula requires d1 != d2")
-    _check_budget(draws)
     gen = as_generator(rng)
     totals = np.zeros((len(settings), len(phis)))
     totals_sq = np.zeros_like(totals)
@@ -424,6 +424,7 @@ def reduction_check(t: float, d1: float, d2: float, phi, draws: int,
     returns a tuple with one report per observable, each equal to the report
     of a single-observable call on the same rng.
     """
+    _check_budget(draws)
     phis = (phi,) if callable(phi) else tuple(phi)
     totals, totals_sq, kept = _reduction_sums(((t, d1, d2),), phis, draws, rng)
     reports = _reduction_reports(t, d1, d2, phis, totals[0].tolist(), totals_sq[0].tolist(),

@@ -316,23 +316,23 @@ if _OPENBLAS is not None:
 
 
 @contextmanager
-def _threaded_blas():
-    """Run the block with numpy's OpenBLAS on its default thread count.
+def _threaded_blas(n: int):
+    """Run a block of BLAS work on (n, n) matrices on threads if OpenBLAS splits it.
 
-    For large BLAS calls: the transfer route's contractions on grids of more
-    than 80 nodes a side and `spectrum`'s band eigensolves.  When the block
-    ends, also on an exception, the count returns to 1 and the workers stop.
-    The thread count is process-wide state, so one thread at a time may use
-    this: `transfer_evaluate` and `spectrum` run it serially, and no
-    cli._run_points point calls it.
-    Without a bundled OpenBLAS the block runs as is.
+    OpenBLAS gives an (n, n) product a second thread only when n^3 exceeds
+    twice its per-thread threshold of 2^18; only then does the count rise to
+    the library default, as a smaller block would just keep a worker
+    spinning.  Yields the block's thread count, None without a bundled
+    OpenBLAS.  A threaded block ends, also on an exception, with the count
+    at 1 and the workers stopped.  The count is process-wide, so one thread
+    at a time may raise it: no cli._run_points point enters a block.
     """
-    if _OPENBLAS is None:
-        yield
+    if _OPENBLAS is None or n**3 <= 2**19:
+        yield None if _OPENBLAS is None else 1
         return
     _OPENBLAS.put(_OPENBLAS.default)
     try:
-        yield
+        yield _OPENBLAS.default
     finally:
         _idle_one_thread(_OPENBLAS)
 

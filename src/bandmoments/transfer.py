@@ -43,7 +43,6 @@ middle site: (N - 1) / 2 bonds, not N - 1.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,13 +181,14 @@ def _contract(kernel: TransferKernel) -> complex:
     assert n % 2 == 1, f"the middle-site contraction needs odd N, got {n}"
     m = np.ones(kernel.site.shape)
     log_scale = 0.0
-    for _ in range(n // 2):
-        m = _apply_bond(kernel, m * kernel.site)
-        scale = float(np.max(np.abs(m)))
-        if scale == 0.0:
-            return 0.0j
-        m /= scale
-        log_scale += math.log(scale)
+    with _threaded_blas(len(m)):
+        for _ in range(n // 2):
+            m = _apply_bond(kernel, m * kernel.site)
+            scale = float(np.max(np.abs(m)))
+            if scale == 0.0:
+                return 0.0j
+            m /= scale
+            log_scale += math.log(scale)
     total = complex(np.sum(kernel.site * m * m))
     return -total * math.exp(kernel.log_prefactor_magnitude + 2.0 * log_scale)
 
@@ -201,22 +201,17 @@ def transfer_evaluate(kernel: TransferKernel) -> TransferResult:
     The returned value is the second; the error estimate is its distance
     from the first (truncation) plus its distance from the third (spacing).
     F2 is real, so the residual imaginary part doubles as a consistency
-    diagnostic.  The contractions' matrix products run on BLAS threads when
-    the largest grid has more than 80 nodes a side: OpenBLAS gives a (G, G)
-    product a second thread only when G^3 exceeds twice its per-thread
-    threshold of 2^18, so on smaller grids a threaded block would only keep
-    an idle worker spinning.  Each widened kernel is built just before its
-    contraction, so at most one of them is held at a time.
+    diagnostic.  Each contraction's products run on BLAS threads when its
+    grid is large enough to split them (see _threaded_blas).  Each widened
+    kernel is built just before its contraction, so at most one of them is
+    held at a time.
     """
     params, lambda0, xi, refine = kernel.params, kernel.lambda0, kernel.xi, kernel.refine
-    grids = (kernel.grid, *(_build_grid(params, lambda0, r, 1.0) for r in (refine, 0.75 * refine)))
-    threaded = max(len(g.nodes_a) for g in grids) ** 3 > 2**19
-    with _threaded_blas() if threaded else nullcontext():
-        base = _contract(kernel)
-        wide_kernel = _kernel(params, lambda0, xi, refine, 1.0)
-        wide, log_prefactor = _contract(wide_kernel), wide_kernel.log_prefactor_magnitude
-        del wide_kernel
-        coarse = _contract(_kernel(params, lambda0, xi, 0.75 * refine, 1.0))
+    base = _contract(kernel)
+    wide_kernel = _kernel(params, lambda0, xi, refine, 1.0)
+    wide, log_prefactor = _contract(wide_kernel), wide_kernel.log_prefactor_magnitude
+    del wide_kernel
+    coarse = _contract(_kernel(params, lambda0, xi, 0.75 * refine, 1.0))
     err = abs(wide - base) + abs(wide - coarse)
     imag_ratio = abs(wide.imag) / max(abs(wide), 1e-300)
     return TransferResult(

@@ -8,6 +8,7 @@ as stated (see the "Known-red criteria" section of README.md for the
 measured statistics behind any red result).
 """
 
+import json
 import math
 import time
 
@@ -15,11 +16,9 @@ import numpy as np
 import pytest
 
 from bandmoments.cli import (chain_suite, hciz_suite, main, reduction_suite)
-from bandmoments.ensemble import RngStream, sample_goe_tridiagonal, sample_symmetric
 from bandmoments.kernels import saddle_data, saddle_f
-from bandmoments.lattice import LatticeParams, variance_profile
-from bandmoments.moments import ScanConfig, _threaded_blas, estimate_ratio
-from bandmoments.spectral import NcmHistogram, ncm, semicircle_distance, tridiagonal_counts
+from bandmoments.lattice import LatticeParams
+from bandmoments.moments import ScanConfig, estimate_ratio
 from bandmoments.transfer import cross_validate
 
 WORKERS = 2
@@ -173,29 +172,19 @@ def test_a8_trend_toward_limit(band_scans):
         + " (nonincreasing within 1 combined stderr)")
 
 
-def _aggregate_ks(kind: str, size: int, count: int, seed: int) -> float:
-    streams = [RngStream(seed, k) for k in range(count)]
-    edges = np.linspace(-2.5, 2.5, 201)
-    if kind == "band":
-        profile = variance_profile(LatticeParams((size - 1) // 2, 64.0))
-        draws = [sample_symmetric(profile, 1, stream)[0] for stream in streams]
-        with _threaded_blas():  # on BLAS threads, as `spectrum` runs band eigensolves
-            eigs = [np.linalg.eigvalsh(d) for d in draws]
-        return semicircle_distance(ncm(np.sort(np.concatenate(eigs)), edges))
-    # Dumitriu-Edelman draws binned by eigenvalue counts, as `spectrum` bins the GOE
-    diag, offdiag_sq = (np.concatenate(parts) for parts in zip(
-        *(sample_goe_tridiagonal(size, 1, stream) for stream in streams)))
-    below = tridiagonal_counts(diag, offdiag_sq, edges).sum(axis=0)
-    return semicircle_distance(NcmHistogram(edges, np.diff(below) / diag.size, diag.size))
-
-
-def test_a9_semicircle():
+def test_a9_semicircle(tmp_path):
+    # `spectrum` over 50 draws each, 200 bins on [-2.5, 2.5]; band N = 2*511+1, W = 64
     start = time.time()
-    ks_goe = _aggregate_ks("goe", 1024, 50, seed=0)
-    ks_band = _aggregate_ks("band", 1023, 50, seed=1)  # N odd: 2*511+1
+    ks = {}
+    for kind, argv in (("goe", ["--size", "1024", "--seed", "0"]),
+                       ("band", ["--half-width", "511", "--bandwidth", "64", "--seed", "1"])):
+        out = tmp_path / kind
+        main(["spectrum", "--ensemble", kind, *argv, "--samples", "50", "--bins", "200",
+              "--out", str(out)])
+        ks[kind] = json.loads((out / "manifest.json").read_text())["summary"]["ks_distance"]
     elapsed = time.time() - start
-    ok = ks_goe <= 0.02 and ks_band <= 0.03 and elapsed < 120.0
-    assert _report("A9", ok, f"KS GOE {ks_goe:.4f} (<=0.02), band {ks_band:.4f} "
+    ok = ks["goe"] <= 0.02 and ks["band"] <= 0.03 and elapsed < 120.0
+    assert _report("A9", ok, f"KS GOE {ks['goe']:.4f} (<=0.02), band {ks['band']:.4f} "
                              f"(<=0.03), {elapsed:.1f}s")
 
 

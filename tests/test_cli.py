@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, gammainc
@@ -411,6 +410,14 @@ class TestVerifyCommands:
         assert not (out / "verify.csv").exists()
         assert self._pool_threads() == []
 
+    @pytest.mark.parametrize("command", ["verify-hciz", "verify-reduction"])
+    def test_one_draw_rejected(self, command, tmp_path):
+        # one draw has no error bar: z-scores would divide by a zero stderr
+        out = tmp_path / "one"
+        with pytest.raises(ValueError, match="draws must be at least 2, got 1"):
+            main([command, "--draws", "1", "--out", str(out)])
+        assert not out.exists()
+
     def test_chain_suite(self, tmp_path):
         out = tmp_path / "c"
         code = main(["verify-chain", "--tail-draws", "20000", "--out", str(out)])
@@ -452,14 +459,18 @@ class TestManifest:
 
     def test_records_libraries_and_blas_threads(self, tmp_path):
         # scans, suites and GOE spectra run on the one BLAS thread pinned at
-        # import; band spectra's eigensolves on the library default
+        # import; band spectra's eigensolves on the library default once an
+        # (N, N) product splits over threads: at N = 81, not at N = 7
         blas = moments._OPENBLAS
-        expected = {"numpy": np.__version__, "scipy": scipy.__version__,
-                    "openblas_threads": None if blas is None else 1}
-        block = None if blas is None else blas.default
-        for ensemble, extra in (("goe", {}), ("band", {"blas_block_threads": block})):
-            assert main(["spectrum", "--ensemble", ensemble, "--size", "8", "--half-width", "3",
-                         "--samples", "2", "--bins", "5", "--out", str(tmp_path / "s")]) == 0
+        expected = {"numpy": np.__version__, "openblas_threads": None if blas is None else 1}
+        small, large = (None, None) if blas is None else (1, blas.default)
+        for argv, extra in ((["--ensemble", "goe", "--size", "8"], {}),
+                            (["--ensemble", "band", "--half-width", "3"],
+                             {"blas_block_threads": small}),
+                            (["--ensemble", "band", "--half-width", "40"],
+                             {"blas_block_threads": large})):
+            assert main(["spectrum", *argv, "--samples", "2", "--bins", "5",
+                         "--out", str(tmp_path / "s")]) == 0
             manifest = json.loads(_read(tmp_path / "s" / "manifest.json"))
             assert manifest["environment"] == {**expected, **extra}
         for ensemble, source in (("band", "dense"), ("goe", "dumitriu-edelman")):

@@ -420,14 +420,18 @@ class TestReductionCheck:
         assert 2.0 * erfc(box / math.sqrt(2.0)) + gammaincc(2.0, 2.0 * box**2) < 1e-10
 
 
-@pytest.mark.parametrize("run", [
-    lambda draws: mc_hciz_u2(ANCHOR, draws, RngStream(0)),
-    lambda draws: mc_hciz_sp2(ANCHOR, draws, RngStream(0)),
-    lambda draws: reduction_check(1.0, 1.0, -1.0, lambda y1, y2: y1, draws, RngStream(0)),
-    lambda draws: tail_probability(8, 2.0, 1.0, 0.5, draws, RngStream(0)),
+@pytest.mark.parametrize("run,least", [
+    (lambda draws: mc_hciz_u2(ANCHOR, draws, RngStream(0)), 2),
+    (lambda draws: mc_hciz_sp2(ANCHOR, draws, RngStream(0)), 2),
+    (lambda draws: reduction_check(1.0, 1.0, -1.0, lambda y1, y2: y1, draws, RngStream(0)), 2),
+    # a frequency has no error bar to divide by: one draw is a budget
+    (lambda draws: tail_probability(8, 2.0, 1.0, 0.5, draws, RngStream(0)), 1),
 ], ids=["mc_hciz_u2", "mc_hciz_sp2", "reduction_check", "tail_probability"])
-@pytest.mark.parametrize("draws", [0, -3])
-def test_monte_carlo_rejects_empty_draw_budget(run, draws):
+@pytest.mark.parametrize("draws", [0, -3, 1])
+def test_monte_carlo_rejects_empty_draw_budget(run, least, draws):
+    if draws >= least:
+        run(draws)
+        return
     with pytest.raises(ValueError, match="draws"):
         run(draws)
 
