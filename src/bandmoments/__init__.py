@@ -16,7 +16,7 @@ from .moments import (MomentEstimate, ScanConfig, ScanRow, SignedAccumulator,
                       estimate_f2, estimate_ratio, f2_goe_exact, scaled_energies)
 from .spectral import (NcmHistogram, eigenvalues, ncm, semicircle_distance,
                        signed_logdet)
-from .transfer import (CrossValidation, Grid2D, TransferKernel, TransferResult,
-                       build_kernel, cross_validate, transfer_evaluate)
+from .transfer import (Grid2D, TransferKernel, TransferResult, build_kernel,
+                       transfer_evaluate)
 
 __version__ = "0.1.0"

@@ -32,10 +32,10 @@ from .group_integrals import (TAYLOR_CUTOFF, HcizParams, _check_budget, _reducti
                               u2_quadrature)
 from .kernels import semicircle_cdf
 from .lattice import LatticeParams, variance_profile
-from .moments import (_OPENBLAS, ScanConfig, _threaded_blas, estimate_ratio,
-                      scaled_energies)
+from .moments import (_OPENBLAS, ScanConfig, _f2_from_scan, _run_scan, _threaded_blas,
+                      estimate_ratio, scaled_energies)
 from .spectral import NcmHistogram, eigenvalues, ncm, semicircle_distance, tridiagonal_counts
-from .transfer import _cross_validations
+from .transfer import build_kernel, transfer_evaluate
 
 __all__ = ["main", "CheckRow"]
 
@@ -112,8 +112,9 @@ def _coerce(key: str, default, raw: str):
     """A file or flag value converted to the type of the key's default."""
     if isinstance(default, int):
         value = _parse_int(key, raw)
-        if key in _COUNT_KEYS and value < 1:
-            raise ValueError(f"config key {key!r} must be at least 1, got {value}")
+        least = 1 if key in _COUNT_KEYS else 0      # a seed or a half-width may be 0
+        if value < least:
+            raise ValueError(f"config key {key!r} must be at least {least}, got {value}")
         return value
     try:
         value = type(default)(raw)
@@ -463,25 +464,35 @@ _TRANSFER_POINTS = ((0, 1.0), (1, 1.0), (4, 2.0))
 
 
 def transfer_suite(seed: int, samples: int, workers: int) -> tuple[list[CheckRow], dict, dict]:
-    """Transfer evaluation vs Monte Carlo at small (N, W), both lambda0.
+    """Transfer evaluation vs Monte Carlo at small (N, W), both lambda0, at xi = 0.
 
-    Returns the rows, no summary and no environment: the grids are too small
-    for a threaded block (see moments._threaded_blas).
+    One Monte Carlo scan of each (n, W) point's draws serves both lambda0:
+    at one or two energies a scan factors every draw by LU at each energy on
+    its own, so each estimate is bit-identical to estimate_f2's at that
+    energy alone.  z = (transfer - MC) / sigma, with sigma = hypot(MC
+    stderr, quadrature error estimate); at N = 1 the transfer value is also
+    held to the closed form lam^2 + 2 within 3 sigma.  Returns the rows, no
+    summary and no environment: the grids are too small for a threaded
+    block (see moments._threaded_blas).
     """
     rows = []
+    lambda0s = (0.0, 1.0)   # at xi = 0 the energies are the lambda0 themselves
     for n, w in _TRANSFER_POINTS:
-        # both lambda0 from one Monte Carlo scan of the (n, w) draws
-        for lambda0, cv in zip((0.0, 1.0), _cross_validations(
-                LatticeParams(n, w), (0.0, 1.0), 0.0, samples, seed, workers)):
-            rows.append(CheckRow(f"transfer_mc_n{n}_w{w:g}_l{lambda0:g}", cv.z_score,
-                                 0.0, 3.0))
-            rows.append(CheckRow(f"transfer_imag_n{n}_w{w:g}_l{lambda0:g}",
-                                 cv.transfer.imag_ratio, 0.0, 1e-6))
+        params = LatticeParams(n, w)
+        config = ScanConfig(lambda0=lambda0s[0], xi_pairs=((0.0, 0.0),), num_samples=samples,
+                            master_seed=seed, lattice=params, workers=workers)
+        mcs = _f2_from_scan(_run_scan(config, lambda0s), [(0, 0), (1, 1)])
+        for lam, mc in zip(lambda0s, mcs):
+            result = transfer_evaluate(build_kernel(params, lam, 0.0))
+            sigma = math.hypot(abs(mc.value) * mc.relative_stderr,
+                               result.quadrature_error_estimate)
+            z = (result.f2 - mc.value) / sigma if sigma > 0 else math.inf
+            tag = f"n{n}_w{w:g}_l{lam:g}"
+            rows.append(CheckRow(f"transfer_mc_{tag}", z, 0.0, 3.0))
+            rows.append(CheckRow(f"transfer_imag_{tag}", result.imag_ratio, 0.0, 1e-6))
             if n == 0:
-                exact = cv.lam**2 + 2.0
-                sigma = math.hypot(cv.mc_stderr, cv.transfer.quadrature_error_estimate)
-                rows.append(CheckRow(f"transfer_n1_closed_form_l{lambda0:g}",
-                                     abs(cv.transfer.f2 - exact), 0.0, 3.0 * sigma))
+                rows.append(CheckRow(f"transfer_n1_closed_form_l{lam:g}",
+                                     abs(result.f2 - (lam**2 + 2.0)), 0.0, 3.0 * sigma))
     return rows, {}, {}
 
 

@@ -404,7 +404,7 @@ def _reduction_reports(t: float, d1: float, d2: float, phis, totals, totals_sq,
 
 
 def reduction_check(t: float, d1: float, d2: float, phi, draws: int,
-                    rng) -> ReductionReport | tuple[ReductionReport, ...]:
+                    rng) -> ReductionReport:
     """Compare the 6-dim Gaussian integral of Phi(F) with its 2-dim reduction.
 
     LHS: Monte Carlo over (x, y, Re w1, Im w1, Re w2, Im w2) with density
@@ -419,14 +419,8 @@ def reduction_check(t: float, d1: float, d2: float, phi, draws: int,
 
     `phi(y1, y2)` must be a vectorized symmetric polynomial of total degree
     at most 4 in the eigenvalues; the check returns its ReductionReport.
-    `phi` may also be a sequence of such observables: they share one set of
-    draws, each chunk evaluating them one after another, and the check
-    returns a tuple with one report per observable, each equal to the report
-    of a single-observable call on the same rng.
     """
     _check_budget(draws)
-    phis = (phi,) if callable(phi) else tuple(phi)
-    totals, totals_sq, kept = _reduction_sums(((t, d1, d2),), phis, draws, rng)
-    reports = _reduction_reports(t, d1, d2, phis, totals[0].tolist(), totals_sq[0].tolist(),
-                                 kept)
-    return reports[0] if callable(phi) else tuple(reports)
+    totals, totals_sq, kept = _reduction_sums(((t, d1, d2),), (phi,), draws, rng)
+    return _reduction_reports(t, d1, d2, (phi,), totals[0].tolist(), totals_sq[0].tolist(),
+                              kept)[0]

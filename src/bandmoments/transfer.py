@@ -50,11 +50,10 @@ import numpy as np
 from .kernels import log_phase_factor, rho, saddle_data
 from .lattice import (LatticeParams, TridiagonalOperator, neumann_laplacian,
                       tridiagonal_logdet)
-from .moments import (MomentEstimate, ScanConfig, _f2_from_scan, _run_scan,
-                      _threaded_blas, scaled_energies)
+from .moments import _threaded_blas
 
 __all__ = ["Grid2D", "TransferKernel", "TransferResult", "build_kernel",
-           "transfer_evaluate", "CrossValidation", "cross_validate"]
+           "transfer_evaluate"]
 
 # Node spacing target is 1/(spacing_factor * W); the grid reaches at least
 # this far beyond the saddle so single-site tails stay below the quadrature
@@ -97,7 +96,6 @@ class TransferResult:
 
     value: complex
     quadrature_error_estimate: float
-    log_prefactor_magnitude: float
     imag_ratio: float
     converged: bool
 
@@ -208,60 +206,14 @@ def transfer_evaluate(kernel: TransferKernel) -> TransferResult:
     """
     params, lambda0, xi, refine = kernel.params, kernel.lambda0, kernel.xi, kernel.refine
     base = _contract(kernel)
-    wide_kernel = _kernel(params, lambda0, xi, refine, 1.0)
-    wide, log_prefactor = _contract(wide_kernel), wide_kernel.log_prefactor_magnitude
-    del wide_kernel
+    wide = _contract(_kernel(params, lambda0, xi, refine, 1.0))
     coarse = _contract(_kernel(params, lambda0, xi, 0.75 * refine, 1.0))
     err = abs(wide - base) + abs(wide - coarse)
     imag_ratio = abs(wide.imag) / max(abs(wide), 1e-300)
     return TransferResult(
         value=wide,
         quadrature_error_estimate=err,
-        log_prefactor_magnitude=log_prefactor,
         imag_ratio=imag_ratio,
         converged=err <= 5e-3 * abs(wide),
     )
 
-
-@dataclass(frozen=True)
-class CrossValidation:
-    """Transfer vs Monte Carlo comparison of F2(lam, lam) at one point."""
-
-    lam: float
-    transfer: TransferResult
-    mc: MomentEstimate
-    mc_value: float
-    mc_stderr: float
-    z_score: float
-    within_3_sigma: bool
-
-
-def cross_validate(params: LatticeParams, lambda0: float, xi: float,
-                   mc_samples: int, master_seed: int = 0,
-                   workers: int = 1) -> CrossValidation:
-    """Run both routes to F2(lam, lam) and report the z-score of their gap."""
-    return _cross_validations(params, (lambda0,), xi, mc_samples, master_seed, workers)[0]
-
-
-def _cross_validations(params: LatticeParams, lambda0s: tuple[float, ...], xi: float,
-                       mc_samples: int, master_seed: int,
-                       workers: int) -> list[CrossValidation]:
-    """cross_validate at each lambda0, with one Monte Carlo scan for all of them.
-
-    At one or two energies a scan factors every draw by LU at each energy on
-    its own, so each estimate is then bit-identical to cross_validate's.
-    """
-    lams = tuple(scaled_energies(lambda0, xi, xi, params.N)[0] for lambda0 in lambda0s)
-    config = ScanConfig(lambda0=lambda0s[0], xi_pairs=((xi, xi),),
-                        num_samples=mc_samples, master_seed=master_seed,
-                        lattice=params, workers=workers)
-    mcs = _f2_from_scan(_run_scan(config, lams), [(k, k) for k in range(len(lams))])
-    checks = []
-    for lambda0, lam, mc in zip(lambda0s, lams, mcs):
-        result = transfer_evaluate(build_kernel(params, lambda0, xi))
-        mc_value = mc.value
-        mc_stderr = abs(mc_value) * mc.relative_stderr
-        sigma = math.hypot(mc_stderr, result.quadrature_error_estimate)
-        z = (result.f2 - mc_value) / sigma if sigma > 0 else math.inf
-        checks.append(CrossValidation(lam, result, mc, mc_value, mc_stderr, z, abs(z) <= 3.0))
-    return checks

@@ -21,8 +21,9 @@ from bandmoments.ensemble import RngStream, sample_goe_tridiagonal
 from bandmoments.group_integrals import (_reduction_reports, _reduction_sums, hciz_sp2,
                                          hciz_u2, mc_hciz_sp2, mc_hciz_u2)
 from bandmoments.lattice import LatticeParams
+from bandmoments.moments import ScanConfig, estimate_f2
 from bandmoments.spectral import ncm
-from bandmoments.transfer import cross_validate
+from bandmoments.transfer import build_kernel, transfer_evaluate
 
 
 def _read(path: Path) -> str:
@@ -95,11 +96,21 @@ class TestConfigFile:
         (["scan-f2", "--size", "8", "--samples", "100", "--xi-diffs", "0,1e308"], "xi_diffs"),
         # finite, but the scaled energies overflow at N = 1
         (["scan-f2", "--size", "1", "--xi-diffs", "0,1.5e308"], "xi_diffs"),
+        # the GOE ensemble reads no half_width, but a negative one is still refused
+        (["spectrum", "--half-width", "-1"], "half_width"),
     ])
     def test_bad_value_names_key(self, argv, key, tmp_path):
         out = tmp_path / "o"
         with pytest.raises(ValueError, match=f"'{key}'"):
             main(argv + ["--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_negative_seed_rejected(self, command, tmp_path):
+        # refused at config time, before any command makes its output directory
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="'seed' must be at least 0"):
+            main([command, "--seed", "-1", "--out", str(out)])
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["verify-chain", "--draws", "5"],
@@ -318,21 +329,26 @@ class TestVerifyCommands:
                        for name in ("one", "sum_sq", "gap_sq")
                        for suffix in ("", "_stderr_ok")]
 
-    def test_transfer_rows_equal_per_point_cross_validations(self):
+    def test_transfer_rows_equal_per_point_calls(self):
         # one Monte Carlo scan per (n, W) serves both lambda0, to the last bit
         rows = cli.transfer_suite(seed=3, samples=3000, workers=1)[0]
         expected = []
         for n, w in cli._TRANSFER_POINTS:
-            for lambda0 in (0.0, 1.0):
-                cv = cross_validate(LatticeParams(n, w), lambda0, 0.0, mc_samples=3000,
-                                    master_seed=3, workers=1)
-                tag = f"n{n}_w{w:g}_l{lambda0:g}"
-                expected += [CheckRow(f"transfer_mc_{tag}", cv.z_score, 0.0, 3.0),
-                             CheckRow(f"transfer_imag_{tag}", cv.transfer.imag_ratio, 0.0, 1e-6)]
+            params = LatticeParams(n, w)
+            for lam in (0.0, 1.0):
+                mc = estimate_f2(ScanConfig(lambda0=lam, xi_pairs=((0.0, 0.0),),
+                                            num_samples=3000, master_seed=3,
+                                            lattice=params), lam, lam)
+                result = transfer_evaluate(build_kernel(params, lam, 0.0))
+                sigma = math.hypot(abs(mc.value) * mc.relative_stderr,
+                                   result.quadrature_error_estimate)
+                tag = f"n{n}_w{w:g}_l{lam:g}"
+                expected += [CheckRow(f"transfer_mc_{tag}", (result.f2 - mc.value) / sigma,
+                                      0.0, 3.0),
+                             CheckRow(f"transfer_imag_{tag}", result.imag_ratio, 0.0, 1e-6)]
                 if n == 0:
-                    sigma = math.hypot(cv.mc_stderr, cv.transfer.quadrature_error_estimate)
-                    expected.append(CheckRow(f"transfer_n1_closed_form_l{lambda0:g}",
-                                             abs(cv.transfer.f2 - (cv.lam**2 + 2.0)),
+                    expected.append(CheckRow(f"transfer_n1_closed_form_l{lam:g}",
+                                             abs(result.f2 - (lam**2 + 2.0)),
                                              0.0, 3.0 * sigma))
         assert rows == expected
 
