@@ -14,8 +14,7 @@ from .lattice import (LatticeParams, SingularSystemError, TridiagonalOperator,
                       variance_profile)
 from .moments import (MomentEstimate, ScanConfig, ScanRow, SignedAccumulator,
                       estimate_f2, estimate_ratio, f2_goe_exact, scaled_energies)
-from .spectral import (NcmHistogram, eigenvalues, ncm, semicircle_distance,
-                       signed_logdet)
+from .spectral import NcmHistogram, eigenvalues, semicircle_distance, signed_logdet
 from .transfer import (Grid2D, TransferKernel, TransferResult, build_kernel,
                        transfer_evaluate)
 

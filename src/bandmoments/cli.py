@@ -34,7 +34,7 @@ from .kernels import semicircle_cdf
 from .lattice import LatticeParams, variance_profile
 from .moments import (_OPENBLAS, ScanConfig, _f2_from_scan, _run_scan, _threaded_blas,
                       estimate_ratio, scaled_energies)
-from .spectral import NcmHistogram, eigenvalues, ncm, semicircle_distance, tridiagonal_counts
+from .spectral import NcmHistogram, eigenvalues, semicircle_distance, tridiagonal_counts
 from .transfer import build_kernel, transfer_evaluate
 
 __all__ = ["main", "CheckRow"]
@@ -146,7 +146,7 @@ def _git_describe() -> str:
                              cwd=Path(__file__).resolve().parent,
                              capture_output=True, text=True, timeout=5)
         return out.stdout.strip() or "unknown"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):   # no git, or one that hangs
         return "unknown"
 
 
@@ -206,21 +206,22 @@ _SPECTRUM_DEFAULTS = dict(ensemble="goe", size=256, half_width=0, bandwidth=8.0,
 def cmd_spectrum(cfg: dict) -> int:
     streams = [RngStream(cfg["seed"], k) for k in range(cfg["samples"])]
     edges = np.linspace(-2.5, 2.5, cfg["bins"] + 1)
+    # below[i]: eigenvalues strictly below edges[i] over all samples (one on an
+    # edge is in the bin to its right); GOE draws are counted by pivot signs
     if cfg["ensemble"] == "goe":
-        # Dumitriu-Edelman draws, the GOE eigenvalue law from O(N) entries
-        # each, binned by the count of eigenvalues below each edge
+        n = cfg["size"]
         diag, offdiag_sq = (np.concatenate(parts) for parts in zip(
-            *(sample_goe_tridiagonal(cfg["size"], 1, stream) for stream in streams)))
+            *(sample_goe_tridiagonal(n, 1, stream) for stream in streams)))
         below = tridiagonal_counts(diag, offdiag_sq, edges).sum(axis=0)
-        hist = NcmHistogram(edges, np.diff(below) / diag.size, diag.size)
         environment = {}
     else:
         profile = variance_profile(LatticeParams(cfg["half_width"], cfg["bandwidth"]))
-        with _threaded_blas(len(profile)) as threads:
-            eigs = np.concatenate([eigenvalues(sample_symmetric(profile, 1, stream)[0])
-                                   for stream in streams])
-        hist = ncm(eigs, edges)
+        n = len(profile)
+        with _threaded_blas(n) as threads:
+            below = sum(np.searchsorted(eigenvalues(sample_symmetric(profile, 1, stream)[0]),
+                                        edges) for stream in streams)
         environment = {"blas_block_threads": threads}
+    hist = NcmHistogram(edges, np.diff(below) / (len(streams) * n))
     outdir = _outdir(cfg)
     ks = semicircle_distance(hist)
     sc_mass = np.diff(semicircle_cdf(edges))
@@ -325,29 +326,25 @@ def hciz_suite(seed: int, sets: int, draws: int) -> tuple[list[CheckRow], dict, 
     Returns the rows, no summary, and the threads of the 2 * sets Monte Carlo
     points, which run on threads (see _run_points).
     """
+    _check_budget(draws)
     rows = []
     params = _hciz_parameter_sets(seed, sets)
     for k, p in enumerate(params):
         exact = hciz_u2(p)
         rel = abs(u2_quadrature(p) - exact) / abs(exact)
         rows.append(CheckRow(f"hciz_u2_quad_{k:02d}", rel, 0.0, 1e-8))
-    points = ([partial(mc_hciz_sp2, p, draws, RngStream(seed, 100 + k))
-               for k, p in enumerate(params)]
-              + [partial(mc_hciz_u2, p, draws, RngStream(seed, 200 + k))
-                 for k, p in enumerate(params)])
-    if draws > 0:
-        # the 0.3% stderr budget is stated at 1e6 draws; scale for smaller runs
-        stderr_tol = 3e-3 * math.sqrt(max(1_000_000 / draws, 1.0))
-        results = _run_points(points)
-        for k, (p, (mean, se)) in enumerate(zip(params, results[:sets])):
-            exact = hciz_sp2(p)
-            rows.append(CheckRow(f"hciz_sp2_mc_{k:02d}", abs(mean - exact) / se,
-                                 0.0, 3.0))
-            rows.append(CheckRow(f"hciz_sp2_mc_stderr_{k:02d}", se / abs(exact),
-                                 0.0, stderr_tol))
-        for k, (p, (mean, se)) in enumerate(zip(params, results[sets:])):
-            rows.append(CheckRow(f"hciz_u2_mc_{k:02d}",
-                                 abs(mean - hciz_u2(p)) / se, 0.0, 3.0))
+    points = [partial(mc, p, draws, RngStream(seed, offset + k))
+              for mc, offset in ((mc_hciz_sp2, 100), (mc_hciz_u2, 200))
+              for k, p in enumerate(params)]
+    # the 0.3% stderr budget is stated at 1e6 draws; scale for smaller runs
+    stderr_tol = 3e-3 * math.sqrt(max(1_000_000 / draws, 1.0))
+    results = _run_points(points)
+    for k, (p, (mean, se)) in enumerate(zip(params, results[:sets])):
+        exact = hciz_sp2(p)
+        rows.append(CheckRow(f"hciz_sp2_mc_{k:02d}", abs(mean - exact) / se, 0.0, 3.0))
+        rows.append(CheckRow(f"hciz_sp2_mc_stderr_{k:02d}", se / abs(exact), 0.0, stderr_tol))
+    for k, (p, (mean, se)) in enumerate(zip(params, results[sets:])):
+        rows.append(CheckRow(f"hciz_u2_mc_{k:02d}", abs(mean - hciz_u2(p)) / se, 0.0, 3.0))
     # Taylor/generic continuity: hciz_sp2 just below and just above the seam,
     # with E1 = e1 and tt = E1 - E2 fixed by t = d1 = 1, d2 = 0
     e1 = 0.3 + 0.1j

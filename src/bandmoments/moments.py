@@ -468,22 +468,29 @@ def f2_goe_exact(l1: float, l2: float, N: int) -> tuple[int, float]:
     p' at l2) therefore obey s_k = M_k s_{k-1}, a 4x4 step that needs only
     E[a^2] = 2/N, E[b^2] = d/N and E[b^4] = d(d + 2)/N^2 for b^2 ~ chi^2_d / N.
     Each step rescales the state by a power of two (exact) and keeps the
-    exponent apart, so the recurrence does not overflow at any N.
+    exponent apart; only energies near the float range overflow (OverflowError).
     """
     if N < 1:
         raise ValueError(f"matrix size must be positive, got {N}")
+    for name, value in (("l1", l1), ("l2", l2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     state = np.array([1.0, 0.0, 0.0, 0.0])       # p_0 = 1, p_{-1} = 0
     exponent = 0
-    for k in range(N):
-        dof = N - k           # b_{k-1}^2 ~ chi^2_{N-k} / N; unused at k = 0
-        eb2, eb4 = dof / N, dof * (dof + 2) / N**2
-        step = np.array([[l1 * l2 + 2.0 / N, -l1 * eb2, -l2 * eb2, eb4],
-                         [l1, 0.0, -eb2, 0.0],
-                         [l2, -eb2, 0.0, 0.0],
-                         [1.0, 0.0, 0.0, 0.0]])
-        state, e = rescale_pow2(step @ state)
-        exponent += int(e)
+    # an overflow reaches state[0] by the next step and stays: one check at the end
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N):
+            dof = N - k           # b_{k-1}^2 ~ chi^2_{N-k} / N; unused at k = 0
+            eb2, eb4 = dof / N, dof * (dof + 2) / N**2
+            step = np.array([[l1 * l2 + 2.0 / N, -l1 * eb2, -l2 * eb2, eb4],
+                             [l1, 0.0, -eb2, 0.0],
+                             [l2, -eb2, 0.0, 0.0],
+                             [1.0, 0.0, 0.0, 0.0]])
+            state, e = rescale_pow2(step @ state)
+            exponent += int(e)
     f2 = float(state[0])
+    if not math.isfinite(f2):
+        raise OverflowError(f"the F2 recurrence overflows at l1={l1!r}, l2={l2!r}")
     if f2 == 0.0:
         return 0, -math.inf
     return (1 if f2 > 0.0 else -1), math.log(abs(f2)) + exponent * math.log(2.0)

@@ -25,18 +25,16 @@ __all__ = [
     "tridiagonal_counts",
     "tridiagonal_signed_logdets",
     "rescale_pow2",
-    "ncm",
     "semicircle_distance",
 ]
 
 
 @dataclass(frozen=True)
 class NcmHistogram:
-    """Normalized counting measure binned on fixed edges; masses = counts/N."""
+    """Normalized counting measure: masses[i] is the share of eigenvalues in bin i."""
 
     edges: np.ndarray
     masses: np.ndarray
-    N: int
 
 
 def eigenvalues(h: np.ndarray) -> np.ndarray:
@@ -170,15 +168,6 @@ def signed_logdet(eigs: np.ndarray, lam: float) -> tuple[int, float]:
     """
     logd, signs = signed_logdets(eigs[None, :], [lam])
     return int(signs[0, 0]), float(logd[0, 0])
-
-
-def ncm(eigs: np.ndarray, edges) -> NcmHistogram:
-    """Histogram of the normalized counting measure of eigs on the given edges."""
-    edges = np.asarray(edges, dtype=float)
-    if np.any(np.diff(edges) <= 0):
-        raise ValueError("histogram edges must be strictly ascending")
-    counts, _ = np.histogram(eigs, bins=edges)
-    return NcmHistogram(edges, counts / len(eigs), len(eigs))
 
 
 def semicircle_distance(hist: NcmHistogram) -> float:

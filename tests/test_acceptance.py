@@ -56,7 +56,7 @@ def band_scans():
 
 def test_a1_hciz_u2_quadrature():
     start = time.time()
-    rows = [r for r in hciz_suite(seed=0, sets=20, draws=0)[0]
+    rows = [r for r in hciz_suite(seed=0, sets=20, draws=2)[0]
             if r.check_id.startswith("hciz_u2_quad")]
     elapsed = time.time() - start
     worst = max(r.measured for r in rows)

@@ -17,12 +17,11 @@ from scipy.special import erfc, gammainc
 
 from bandmoments import cli, group_integrals, moments
 from bandmoments.cli import CheckRow, load_config_file, main
-from bandmoments.ensemble import RngStream, sample_goe_tridiagonal
+from bandmoments.ensemble import RngStream, sample_goe_tridiagonal, sample_symmetric
 from bandmoments.group_integrals import (_reduction_reports, _reduction_sums, hciz_sp2,
                                          hciz_u2, mc_hciz_sp2, mc_hciz_u2)
-from bandmoments.lattice import LatticeParams
+from bandmoments.lattice import LatticeParams, variance_profile
 from bandmoments.moments import ScanConfig, estimate_f2
-from bandmoments.spectral import ncm
 from bandmoments.transfer import build_kernel, transfer_evaluate
 
 
@@ -184,25 +183,44 @@ class TestSpectrumCommand:
             main(["spectrum", "--ensemble", "band", "--bandwidth", "inf", "--out", str(out)])
         assert not out.exists()
 
-    def test_goe_eigenvalues_are_those_of_the_dense_tridiagonal_draws(self, tmp_path):
-        out = tmp_path / "g"
-        assert main(["spectrum", "--size", "40", "--samples", "3", "--bins", "500",
-                     "--seed", "2", "--out", str(out)]) == 0
-        eigs = []
-        for k in range(3):
-            diag, offdiag_sq = sample_goe_tridiagonal(40, 1, RngStream(2, k))
-            off = np.sqrt(offdiag_sq[0])
-            eigs.append(np.linalg.eigvalsh(np.diag(diag[0]) + np.diag(off, 1) + np.diag(off, -1)))
-        masses = ncm(np.concatenate(eigs), np.linspace(-2.5, 2.5, 501)).masses
-        rows = _read(out / "spectrum.csv").splitlines()[1:]
-        assert [float(row.split(",")[2]) for row in rows] == masses.tolist()
+    @staticmethod
+    def _masses(out: Path) -> list[float]:
+        return [float(row.split(",")[2]) for row in _read(out / "spectrum.csv").splitlines()[1:]]
 
-    def test_band_ensemble_runs(self, tmp_path):
-        out = tmp_path / "b"
-        code = main(["spectrum", "--ensemble", "band", "--half-width", "8",
-                     "--bandwidth", "3", "--samples", "3", "--bins", "10",
-                     "--out", str(out)])
-        assert code == 0
+    @staticmethod
+    def _dense_draw(ensemble: str, stream: RngStream) -> np.ndarray:
+        """The matrix `spectrum` draws from stream: the GOE's tridiagonal one, dense."""
+        if ensemble == "band":
+            return sample_symmetric(variance_profile(LatticeParams(8, 3.0)), 1, stream)[0]
+        diag, offdiag_sq = sample_goe_tridiagonal(40, 1, stream)
+        off = np.sqrt(offdiag_sq[0])
+        return np.diag(diag[0]) + np.diag(off, 1) + np.diag(off, -1)
+
+    @pytest.mark.parametrize("ensemble", ["goe", "band"])
+    def test_masses_are_those_of_the_dense_draws(self, ensemble, tmp_path):
+        out = tmp_path / ensemble
+        assert main(["spectrum", "--ensemble", ensemble, "--size", "40", "--half-width", "8",
+                     "--bandwidth", "3", "--samples", "3", "--bins", "500", "--seed", "2",
+                     "--out", str(out)]) == 0
+        eigs = np.concatenate([np.linalg.eigvalsh(self._dense_draw(ensemble, RngStream(2, k)))
+                               for k in range(3)])
+        edges = np.linspace(-2.5, 2.5, 501)
+        assert self._masses(out) == (np.histogram(eigs, edges)[0] / eigs.size).tolist()
+
+    def test_eigenvalues_on_edges_are_binned_alike(self, tmp_path, monkeypatch):
+        # one rule for both ensembles: an eigenvalue on an edge falls in the
+        # bin to its right, and one on the last edge in no bin
+        edges = np.linspace(-2.5, 2.5, 6)
+        spectrum = np.array([edges[0], edges[2], 0.0, edges[3], edges[-1]])
+        monkeypatch.setattr(cli, "sample_goe_tridiagonal",
+                            lambda n, count, stream: (spectrum[None], np.zeros((1, n - 1))))
+        monkeypatch.setattr(cli, "sample_symmetric",
+                            lambda profile, count, stream: np.diag(spectrum)[None])
+        for ensemble in ("goe", "band"):
+            assert main(["spectrum", "--ensemble", ensemble, "--size", "5", "--half-width", "2",
+                         "--samples", "2", "--bins", "5",
+                         "--out", str(tmp_path / ensemble)]) == 0
+            assert self._masses(tmp_path / ensemble) == [0.2, 0.0, 0.4, 0.2, 0.0]
 
 
 class TestScanCommand:
@@ -472,6 +490,16 @@ class TestManifest:
             pytest.skip("package is not in a git checkout")
         monkeypatch.chdir(tmp_path)
         assert cli._git_describe() != "unknown"
+
+    def test_hung_git_leaves_the_run_intact(self, tmp_path, monkeypatch):
+        def hang(args, **kwargs):
+            raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+        monkeypatch.setattr(cli.subprocess, "run", hang)
+        out = tmp_path / "s"
+        assert main(["spectrum", "--size", "8", "--samples", "2", "--bins", "5",
+                     "--out", str(out)]) == 0
+        assert json.loads(_read(out / "manifest.json"))["git"] == "unknown"
 
     def test_records_libraries_and_blas_threads(self, tmp_path):
         # scans, suites and GOE spectra run on the one BLAS thread pinned at

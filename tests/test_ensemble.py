@@ -25,20 +25,23 @@ class TestSampleBand:
         assert abs(var - 2.0) < 5.0 * np.sqrt(2.0 * 4.0 / len(h))
 
     def test_entry_covariance_matches_profile(self):
-        # chi-square style scan over every index quadruple on a 5-site chain
-        h, profile = _draw_band(2, 1.0, 100_000, 2)
-        m = len(h)
-        n = 5
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        flat = np.stack([h[:, i, j] for i, j in pairs], axis=1)
-        emp = flat.T @ flat / m
-        prods = flat[:, :, None] * flat[:, None, :]
-        se = np.std(prods, axis=0) / np.sqrt(m)
-        theory = np.zeros((len(pairs), len(pairs)))
-        for a, (i, j) in enumerate(pairs):
-            theory[a, a] = (2.0 if i == j else 1.0) * profile[i, j]
-        z = (emp - theory) / se
-        assert np.max(np.abs(z)) < 5.0
+        # chi-square style scan over every index quadruple of 5 sites, and
+        # centred entries (so a centred trace), on a band and a flat profile
+        for profile in (variance_profile(LatticeParams(2, 1.0)), goe_profile(5)):
+            h = sample_symmetric(profile, 100_000, RngStream(2).generator())
+            m = len(h)
+            pairs = [(i, j) for i in range(5) for j in range(i, 5)]
+            flat = np.stack([h[:, i, j] for i, j in pairs], axis=1)
+            mean_z = np.mean(flat, axis=0) / (np.std(flat, axis=0) / np.sqrt(m))
+            assert np.max(np.abs(mean_z)) < 5.0
+            emp = flat.T @ flat / m
+            prods = flat[:, :, None] * flat[:, None, :]
+            se = np.std(prods, axis=0) / np.sqrt(m)
+            theory = np.zeros((len(pairs), len(pairs)))
+            for a, (i, j) in enumerate(pairs):
+                theory[a, a] = (2.0 if i == j else 1.0) * profile[i, j]
+            z = (emp - theory) / se
+            assert np.max(np.abs(z)) < 5.0
 
     def test_bit_reproducible(self):
         prof = variance_profile(LatticeParams(3, 2.0))
@@ -71,20 +74,12 @@ class TestSampleBand:
 
 
 class TestSampleGoe:
-    def test_single_site_variance(self):
-        gen = RngStream(3).generator()
-        vals = np.array([sample_goe(1, gen)[0, 0] for _ in range(50_000)])
-        assert abs(np.var(vals) - 2.0) < 5.0 * np.sqrt(2.0 * 4.0 / len(vals))
-
-    def test_offdiagonal_variance_half(self):
-        gen = RngStream(4).generator()
-        vals = np.array([sample_goe(2, gen)[0, 1] for _ in range(100_000)])
-        assert abs(np.var(vals) - 0.5) < 5.0 * np.sqrt(2.0 * 0.25 / len(vals))
-
-    def test_trace_centered(self):
-        gen = RngStream(5).generator()
-        traces = np.array([np.trace(sample_goe(8, gen)) for _ in range(20_000)])
-        assert abs(np.mean(traces)) < 5.0 * np.std(traces) / np.sqrt(len(traces))
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_is_the_flat_profile_draw(self, n):
+        # the flat profile's moments are checked in TestSampleBand
+        got = sample_goe(n, RngStream(n))
+        want = sample_symmetric(goe_profile(n), 1, RngStream(n))[0]
+        assert got.tobytes() == want.tobytes()
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Moment estimation: accumulators, closed-form anchors, ratio scans."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,21 @@ class TestF2GoeExact:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             f2_goe_exact(0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("l1,l2,name", [(math.nan, 0.0, "l1"), (math.inf, 0.0, "l1"),
+                                            (0.0, -math.inf, "l2")])
+    def test_rejects_non_finite_energies(self, l1, l2, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            f2_goe_exact(l1, l2, 4)
+
+    @pytest.mark.parametrize("l1,l2", [(1e200, 1e200),
+                                       # scan-f2 --size 8 --xi-diffs 0,1e200
+                                       scaled_energies(0.0, 5e199, -5e199, 8)])
+    def test_overflow_raises_with_warnings_ignored(self, l1, l2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(OverflowError, match="F2 recurrence overflows"):
+                f2_goe_exact(l1, l2, 4)
 
     @pytest.mark.parametrize("N", [4, 16])
     @pytest.mark.parametrize("l1,l2", [(0.3, 0.2), (-0.5, -0.5)])

@@ -1,4 +1,4 @@
-"""Spectra, signed log-determinants, NCM histograms, semicircle distance."""
+"""Spectra, signed log-determinants, eigenvalue counts, semicircle distance."""
 
 import math
 import tracemalloc
@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from bandmoments.ensemble import RngStream, sample_goe, sample_goe_tridiagonal
 from bandmoments.kernels import semicircle_cdf
-from bandmoments.spectral import (NcmHistogram, eigenvalues, ncm,
-                                  semicircle_distance, signed_logdet,
-                                  signed_logdets, tridiagonal_counts,
+from bandmoments.spectral import (NcmHistogram, eigenvalues, semicircle_distance,
+                                  signed_logdet, signed_logdets, tridiagonal_counts,
                                   tridiagonal_signed_logdets)
 
 RNG = np.random.default_rng(1)
@@ -231,39 +230,24 @@ class TestTridiagonalCounts:
             tridiagonal_counts(np.zeros((1, 2)), [[1.0]], [np.nan])
 
 
-class TestNcm:
-    def test_point_mass_in_range(self):
-        hist = ncm(np.zeros(3), [-1.0, 1.0])
-        np.testing.assert_array_equal(hist.masses, [1.0])
-
-    def test_all_outside(self):
-        hist = ncm(np.array([-3.0, 3.0]), [-1.0, 1.0])
-        np.testing.assert_array_equal(hist.masses, [0.0])
-
-    def test_counts_over_n(self):
-        hist = ncm(np.array([-0.5, 0.1, 0.2, 3.0]), [-1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(hist.masses, [0.25, 0.5])
-
-    def test_rejects_unsorted_edges(self):
-        with pytest.raises(ValueError):
-            ncm(np.zeros(1), [1.0, -1.0])
-
-
 class TestSemicircleDistance:
     def test_exact_semicircle_masses_give_zero(self):
         edges = np.linspace(-2.5, 2.5, 51)
         masses = np.diff(semicircle_cdf(edges))
-        hist = NcmHistogram(edges, masses, 1000)
+        hist = NcmHistogram(edges, masses)
         assert semicircle_distance(hist) == pytest.approx(0.0, abs=1e-15)
 
     def test_point_mass_at_zero(self):
         edges = np.linspace(-2.5, 2.5, 101)
-        hist = ncm(np.zeros(7), edges)
+        masses = np.zeros(100)
+        masses[50] = 1.0      # all mass in the bin [0, 0.05)
+        hist = NcmHistogram(edges, masses)
         assert semicircle_distance(hist) >= 0.5
 
     def test_goe_aggregate_is_close(self):
         eigs = np.sort(np.concatenate([
             np.linalg.eigvalsh(sample_goe(256, RngStream(11, k)))
             for k in range(8)]))
-        hist = ncm(eigs, np.linspace(-2.5, 2.5, 101))
+        edges = np.linspace(-2.5, 2.5, 101)
+        hist = NcmHistogram(edges, np.histogram(eigs, edges)[0] / eigs.size)
         assert semicircle_distance(hist) < 0.05
