@@ -32,8 +32,8 @@ from .group_integrals import (TAYLOR_CUTOFF, HcizParams, _check_budget, _reducti
                               u2_quadrature)
 from .kernels import semicircle_cdf
 from .lattice import LatticeParams, variance_profile
-from .moments import (_OPENBLAS, ScanConfig, _f2_from_scan, _run_scan, _threaded_blas,
-                      estimate_ratio, scaled_energies)
+from .moments import (_BLAS_THREADS, ScanConfig, _f2_from_scan, _run_scan, estimate_ratio,
+                      scaled_energies)
 from .spectral import NcmHistogram, eigenvalues, semicircle_distance, tridiagonal_counts
 from .transfer import build_kernel, transfer_evaluate
 
@@ -163,7 +163,7 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, summary: dict,
         "version": __version__,
         "git": _git_describe(),
         "environment": {"numpy": np.__version__,
-                        "openblas_threads": None if _OPENBLAS is None else _OPENBLAS.get(),
+                        "openblas_threads": None if _BLAS_THREADS is None else _BLAS_THREADS(),
                         **environment},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "seed": cfg.get("seed"),
@@ -213,21 +213,18 @@ def cmd_spectrum(cfg: dict) -> int:
         diag, offdiag_sq = (np.concatenate(parts) for parts in zip(
             *(sample_goe_tridiagonal(n, 1, stream) for stream in streams)))
         below = tridiagonal_counts(diag, offdiag_sq, edges).sum(axis=0)
-        environment = {}
     else:
         profile = variance_profile(LatticeParams(cfg["half_width"], cfg["bandwidth"]))
         n = len(profile)
-        with _threaded_blas(n) as threads:
-            below = sum(np.searchsorted(eigenvalues(sample_symmetric(profile, 1, stream)[0]),
-                                        edges) for stream in streams)
-        environment = {"blas_block_threads": threads}
+        below = sum(np.searchsorted(eigenvalues(sample_symmetric(profile, 1, stream)[0]),
+                                    edges) for stream in streams)
     hist = NcmHistogram(edges, np.diff(below) / (len(streams) * n))
     outdir = _outdir(cfg)
     ks = semicircle_distance(hist)
     sc_mass = np.diff(semicircle_cdf(edges))
     _write_csv(outdir / "spectrum.csv", _SPECTRUM_SCHEMA,
                zip(edges[:-1], edges[1:], hist.masses, sc_mass))
-    _write_manifest(outdir, "spectrum", cfg, {"ks_distance": ks}, **environment)
+    _write_manifest(outdir, "spectrum", cfg, {"ks_distance": ks})
     print(f"ks_distance = {ks:.6f}")
     return 0
 
@@ -469,8 +466,7 @@ def transfer_suite(seed: int, samples: int, workers: int) -> tuple[list[CheckRow
     energy alone.  z = (transfer - MC) / sigma, with sigma = hypot(MC
     stderr, quadrature error estimate); at N = 1 the transfer value is also
     held to the closed form lam^2 + 2 within 3 sigma.  Returns the rows, no
-    summary and no environment: the grids are too small for a threaded
-    block (see moments._threaded_blas).
+    summary and no environment.
     """
     rows = []
     lambda0s = (0.0, 1.0)   # at xi = 0 the energies are the lambda0 themselves

@@ -354,8 +354,10 @@ def _reduction_sums(settings, phis, draws: int, rng) -> tuple[np.ndarray, np.nda
     writes its pairs over z, which no later setting reads.
     """
     for t, d1, d2 in settings:
-        if not t > 0:
-            raise ValueError(f"t must be positive, got {t}")
+        if not 0 < t < math.inf:
+            raise ValueError(f"t must be positive and finite, got {t}")
+        if not (math.isfinite(d1) and math.isfinite(d2)):
+            raise ValueError(f"d1 and d2 must be finite, got {d1} and {d2}")
         if d1 == d2:
             raise ValueError("the reduction formula requires d1 != d2")
     gen = as_generator(rng)

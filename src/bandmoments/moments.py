@@ -29,10 +29,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -266,18 +265,15 @@ class _WorkerSpec:
 _LU_MAX_ENERGIES = 2
 
 
-class _OpenBlas(NamedTuple):
-    get: Callable[[], int]      # thread count
-    put: Callable[[int], None]  # set the thread count
-    stop: Callable[[], int] | None  # join the worker threads (blas_thread_shutdown_)
-    default: int                # the count at load: OPENBLAS_NUM_THREADS, else one per core
+def _pin_one_blas_thread() -> Callable[[], int] | None:
+    """Set numpy's bundled OpenBLAS to one thread and stop its workers.
 
-
-def _load_openblas() -> _OpenBlas | None:
-    """numpy's bundled OpenBLAS thread controls, or None without one.
-
-    libscipy_openblas64_ exports blas_thread_shutdown_ without a prefix;
-    where it is missing, stop is None.
+    Loaded, the library starts a worker per extra core, and a worker
+    busy-polls for about 0.12 s of CPU after the load and after every
+    threaded call; a count of 1 alone does not stop it.  The count drops
+    first: a set call made after the stop starts a worker again.
+    libscipy_openblas64_ exports blas_thread_shutdown_ without a prefix.
+    Returns the thread-count getter, None without a bundled OpenBLAS.
     """
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
@@ -287,54 +283,20 @@ def _load_openblas() -> _OpenBlas | None:
             if get is not None and put is not None:
                 get.restype, get.argtypes = ctypes.c_int, []
                 put.restype, put.argtypes = None, [ctypes.c_int]
+                put(1)
                 stop = getattr(lib, "blas_thread_shutdown_", None)
                 if stop is not None:
                     stop.restype, stop.argtypes = ctypes.c_int, []
-                return _OpenBlas(get, put, stop, get())
+                    stop()
+                return get
     return None
 
 
-def _idle_one_thread(blas: _OpenBlas) -> None:
-    """One BLAS thread and no worker thread.
-
-    Loaded, the library starts a worker per extra core, and a worker
-    busy-polls for about 0.12 s of CPU after the load and after every
-    threaded call; a count of 1 alone does not stop it.  The count drops
-    first: a set call made after the stop starts a worker again.
-    """
-    blas.put(1)
-    if blas.stop is not None:
-        blas.stop()
-
-
-# Pinned at import: scans, LU factorisations and the verify suites run on one
-# BLAS thread, which keeps a scan bit-identical for every worker count and
-# keeps pool workers from oversubscribing the cores.
-_OPENBLAS = _load_openblas()
-if _OPENBLAS is not None:
-    _idle_one_thread(_OPENBLAS)
-
-
-@contextmanager
-def _threaded_blas(n: int):
-    """Run a block of BLAS work on (n, n) matrices on threads if OpenBLAS splits it.
-
-    OpenBLAS gives an (n, n) product a second thread only when n^3 exceeds
-    twice its per-thread threshold of 2^18; only then does the count rise to
-    the library default, as a smaller block would just keep a worker
-    spinning.  Yields the block's thread count, None without a bundled
-    OpenBLAS.  A threaded block ends, also on an exception, with the count
-    at 1 and the workers stopped.  The count is process-wide, so one thread
-    at a time may raise it: no cli._run_points point enters a block.
-    """
-    if _OPENBLAS is None or n**3 <= 2**19:
-        yield None if _OPENBLAS is None else 1
-        return
-    _OPENBLAS.put(_OPENBLAS.default)
-    try:
-        yield _OPENBLAS.default
-    finally:
-        _idle_one_thread(_OPENBLAS)
+# Pinned at import, and never raised: every BLAS call runs on one thread,
+# which keeps a scan bit-identical for every worker count, keeps pool workers
+# from oversubscribing the cores, and keeps run times steady when another
+# process wants a CPU.
+_BLAS_THREADS = _pin_one_blas_thread()
 
 
 def _dense_draw(profile: np.ndarray, size: int,

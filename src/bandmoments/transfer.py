@@ -50,7 +50,6 @@ import numpy as np
 from .kernels import log_phase_factor, rho, saddle_data
 from .lattice import (LatticeParams, TridiagonalOperator, neumann_laplacian,
                       tridiagonal_logdet)
-from .moments import _threaded_blas
 
 __all__ = ["Grid2D", "TransferKernel", "TransferResult", "build_kernel",
            "transfer_evaluate"]
@@ -135,6 +134,10 @@ def _site_weights(grid: Grid2D, params: LatticeParams, lambda0: float, xi: float
 def build_kernel(params: LatticeParams, lambda0: float, xi: float,
                  refine: float = 1.0) -> TransferKernel:
     """Assemble grid, site weights, bond couplings, and the global prefactor."""
+    if not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi}")
+    if not 0 < refine < math.inf:
+        raise ValueError(f"refine must be positive and finite, got {refine}")
     return _kernel(params, lambda0, xi, refine, 0.0)
 
 
@@ -179,14 +182,13 @@ def _contract(kernel: TransferKernel) -> complex:
     assert n % 2 == 1, f"the middle-site contraction needs odd N, got {n}"
     m = np.ones(kernel.site.shape)
     log_scale = 0.0
-    with _threaded_blas(len(m)):
-        for _ in range(n // 2):
-            m = _apply_bond(kernel, m * kernel.site)
-            scale = float(np.max(np.abs(m)))
-            if scale == 0.0:
-                return 0.0j
-            m /= scale
-            log_scale += math.log(scale)
+    for _ in range(n // 2):
+        m = _apply_bond(kernel, m * kernel.site)
+        scale = float(np.max(np.abs(m)))
+        if scale == 0.0:
+            return 0.0j
+        m /= scale
+        log_scale += math.log(scale)
     total = complex(np.sum(kernel.site * m * m))
     return -total * math.exp(kernel.log_prefactor_magnitude + 2.0 * log_scale)
 
@@ -199,10 +201,8 @@ def transfer_evaluate(kernel: TransferKernel) -> TransferResult:
     The returned value is the second; the error estimate is its distance
     from the first (truncation) plus its distance from the third (spacing).
     F2 is real, so the residual imaginary part doubles as a consistency
-    diagnostic.  Each contraction's products run on BLAS threads when its
-    grid is large enough to split them (see _threaded_blas).  Each widened
-    kernel is built just before its contraction, so at most one of them is
-    held at a time.
+    diagnostic.  Each widened kernel is built just before its contraction,
+    so at most one of them is held at a time.
     """
     params, lambda0, xi, refine = kernel.params, kernel.lambda0, kernel.xi, kernel.refine
     base = _contract(kernel)

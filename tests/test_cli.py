@@ -502,29 +502,24 @@ class TestManifest:
         assert json.loads(_read(out / "manifest.json"))["git"] == "unknown"
 
     def test_records_libraries_and_blas_threads(self, tmp_path):
-        # scans, suites and GOE spectra run on the one BLAS thread pinned at
-        # import; band spectra's eigensolves on the library default once an
-        # (N, N) product splits over threads: at N = 81, not at N = 7
-        blas = moments._OPENBLAS
+        # scans, suites and spectra of every size run on the one BLAS thread
+        # pinned at import, also where an (N, N) product could split (N = 81)
+        blas = moments._BLAS_THREADS
         expected = {"numpy": np.__version__, "openblas_threads": None if blas is None else 1}
-        small, large = (None, None) if blas is None else (1, blas.default)
-        for argv, extra in ((["--ensemble", "goe", "--size", "8"], {}),
-                            (["--ensemble", "band", "--half-width", "3"],
-                             {"blas_block_threads": small}),
-                            (["--ensemble", "band", "--half-width", "40"],
-                             {"blas_block_threads": large})):
+        for argv in (["--ensemble", "goe", "--size", "8"],
+                     ["--ensemble", "band", "--half-width", "3"],
+                     ["--ensemble", "band", "--half-width", "40"]):
             assert main(["spectrum", *argv, "--samples", "2", "--bins", "5",
                          "--out", str(tmp_path / "s")]) == 0
             manifest = json.loads(_read(tmp_path / "s" / "manifest.json"))
-            assert manifest["environment"] == {**expected, **extra}
+            assert manifest["environment"] == expected
         for ensemble, source in (("band", "dense"), ("goe", "dumitriu-edelman")):
             assert main(["scan-f2", "--ensemble", ensemble, "--size", "8", "--half-width", "3",
                          "--bandwidth", "2", "--samples", "40", "--xi-diffs", "0,1",
                          "--out", str(tmp_path / ensemble)]) == 0
             manifest = json.loads(_read(tmp_path / ensemble / "manifest.json"))
             assert manifest["environment"] == {**expected, "sample_source": source}
-        # at so few samples some rows may fail; the manifest is written all the same.
-        # Its grids are too small for a threaded block.
+        # at so few samples some rows may fail; the manifest is written all the same
         main(["transfer-check", "--samples", "200", "--out", str(tmp_path / "t")])
         manifest = json.loads(_read(tmp_path / "t" / "manifest.json"))
         assert manifest["environment"] == expected

@@ -417,6 +417,18 @@ class TestReductionCheck:
         with pytest.raises(ValueError):
             reduction_check(0.0, 1.0, -1.0, lambda y1, y2: y1, draws=10, rng=RngStream(0))
 
+    @pytest.mark.parametrize("t,d1,d2,match", [
+        # unchecked, t = inf would compare 0 with 0 and pass
+        (math.inf, 1.5, 0.5, "t must be positive and finite"),
+        (math.nan, 1.5, 0.5, "t must be positive and finite"),
+        (1.0, math.nan, 0.5, "d1 and d2 must be finite"),
+        (1.0, 1.5, math.inf, "d1 and d2 must be finite"),
+        (1.0, -math.inf, 0.5, "d1 and d2 must be finite"),
+    ])
+    def test_rejects_non_finite_settings(self, t, d1, d2, match):
+        with pytest.raises(ValueError, match=match):
+            reduction_check(t, d1, d2, lambda y1, y2: y1 * y2, draws=1000, rng=RngStream(0))
+
     def test_box_leaves_negligible_gaussian_mass(self):
         # z_x and z_y each outside +-_BOX with probability erfc(_BOX / sqrt 2),
         # and t |w|^2 ~ Gamma(2, 1) beyond 2 _BOX^2

@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,42 +489,6 @@ class TestEstimateRatio:
         common = dict(lambda0=0.0, xi_pairs=((0.0, 0.0),), num_samples=4, master_seed=0)
         assert ScanConfig(goe_size=4, **common).sample_source == "dumitriu-edelman"
         assert ScanConfig(lattice=LatticeParams(1, 1.0), **common).sample_source == "dense"
-
-    @staticmethod
-    def _os_threads():  # None where /proc is absent
-        tasks = Path("/proc/self/task")
-        return len(list(tasks.iterdir())) if tasks.is_dir() else None
-
-    def test_threaded_blas_block_then_one_idle_thread(self):
-        blas = moments._OPENBLAS
-        if blas is None:  # no bundled OpenBLAS: the block runs as is
-            with moments._threaded_blas(300) as threads:
-                assert threads is None
-                return
-        before = self._os_threads()
-        assert blas.get() == 1
-        a = np.ones((300, 300))
-        with moments._threaded_blas(300) as threads:
-            assert blas.get() == threads == blas.default
-            a @ a
-        assert (blas.get(), self._os_threads()) == (1, before)
-        with pytest.raises(RuntimeError, match="inside"):
-            with moments._threaded_blas(300):
-                a @ a
-                raise RuntimeError("inside")
-        assert (blas.get(), self._os_threads()) == (1, before)
-
-    def test_threaded_blas_leaves_products_too_small_to_split_alone(self):
-        # 80^3 = 512000 is not above 2^19: OpenBLAS would not split the product
-        blas = moments._OPENBLAS
-        if blas is None:
-            pytest.skip("no bundled OpenBLAS")
-        before = self._os_threads()
-        a = np.ones((80, 80))
-        with moments._threaded_blas(80) as threads:
-            assert (threads, blas.get(), self._os_threads()) == (1, 1, before)
-            a @ a
-        assert (blas.get(), self._os_threads()) == (1, before)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

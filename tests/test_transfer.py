@@ -106,6 +106,17 @@ class TestKernelStructure:
         far = np.abs(a[:, None] - a[None, :]) > 1.0
         assert np.max(k.gaa[far]) < 1e-3
 
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_xi(self, xi):
+        # unchecked, such a kernel would evaluate to nan+nanj with only RuntimeWarnings
+        with pytest.raises(ValueError, match="xi must be finite"):
+            build_kernel(LatticeParams(1, 1.0), 0.0, xi)
+
+    @pytest.mark.parametrize("refine", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_refine_not_positive_and_finite(self, refine):
+        with pytest.raises(ValueError, match="refine must be positive and finite"):
+            build_kernel(LatticeParams(1, 1.0), 0.0, 0.0, refine=refine)
+
 
 BOND_POINTS = [(1, 1.0, 0.0, 0.0), (1, 2.0, 1.0, 0.7), (4, 4.0, 1.5, -0.5),
                (16, 4.0, 1.0, 0.7), (1, 8.0, 0.0, 0.5)]
